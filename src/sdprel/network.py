@@ -4,6 +4,12 @@ Pipeline per example: embedding lookup → sliding-window concatenation →
 linear convolution → max pooling over path positions → tanh hidden layer →
 softmax over relation classes.  Everything runs in float64 on single
 examples; gradients are exact and validated against finite differences.
+
+The per-example step is vectorised: windows are gathered with one fancy
+index into a C-contiguous window matrix, max-pool backward is a one-hot
+matmul, and the embedding gradient is a one-hot sum over the window ids.
+Finite-value checks run on sums; the per-layer ``_check_finite`` calls that
+name the failing layer run only when a sum is not finite.
 """
 
 from __future__ import annotations
@@ -117,7 +123,7 @@ class ForwardCache:
     """Intermediate values forward saves for the backward pass."""
 
     indices: tuple[int, ...]
-    X: np.ndarray          # d*w x t window matrix
+    X: np.ndarray          # d*w x t window matrix, C-contiguous
     Z: np.ndarray          # n1 x t convolution output
     argmax: np.ndarray     # n1, pooled column index per filter
     pooled: np.ndarray     # n1
@@ -141,23 +147,27 @@ class Gradients:
     dWe: dict[int, np.ndarray]
 
 
-def window_concat(indices: Sequence[int], We: np.ndarray, w: int) -> np.ndarray:
-    """Stack each position's size-w embedding window into one column.
-
-    Positions outside the sequence contribute the padding column.
-    """
+def _window_ids(indices: Sequence[int], w: int) -> np.ndarray:
+    """The t x w vocabulary ids of every position's window, pad outside."""
     t = len(indices)
     if t < 1:
         raise ValueError("empty index sequence")
     half = (w - 1) // 2
-    d = We.shape[0]
-    X = np.empty((d * w, t))
-    for j in range(t):
-        for b in range(w):
-            pos = j - half + b
-            idx = indices[pos] if 0 <= pos < t else PAD_INDEX
-            X[b * d : (b + 1) * d, j] = We[:, idx]
-    return X
+    padded = np.full(t + w - 1, PAD_INDEX, dtype=np.intp)
+    padded[half : half + t] = indices
+    return padded[np.arange(t)[:, None] + np.arange(w)]
+
+
+def window_concat(indices: Sequence[int], We: np.ndarray, w: int) -> np.ndarray:
+    """Stack each position's size-w embedding window into one column.
+
+    Positions outside the sequence contribute the padding column.  The
+    result is C-contiguous: ``W1 @ X`` on a transposed view is several
+    times slower.
+    """
+    ids = _window_ids(indices, w)
+    # Row j of the (t, w*d) gather is window j, slot b at b*d .. (b+1)*d - 1.
+    return np.ascontiguousarray(We.T[ids].reshape(len(ids), -1).T)
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -176,24 +186,32 @@ def forward(
     indices: Sequence[int],
     lexfeat: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network on one indexed path, returning class probabilities."""
+    """Run the network on one indexed path, returning class probabilities.
+
+    Raises NumericError naming the first non-finite layer ('convolution',
+    'hidden' or 'scores') exactly when the per-layer checks would.  The
+    fast check tests the sums of Z and the scores: a sum is non-finite
+    whenever an element is, a NaN hidden unit makes every score NaN, and
+    finite scores give finite probabilities.  Only a failed sum (or an
+    overflowing one) runs the per-layer ``_check_finite`` calls.
+    """
     if (lexfeat is not None) != (hp.f > 0):
         raise ValueError("lexical feature vector must be given exactly when f > 0")
     if lexfeat is not None and lexfeat.shape != (hp.f,):
         raise ValueError(f"lexical feature shape {lexfeat.shape}, expected ({hp.f},)")
 
     X = window_concat(indices, params.We, hp.w)
-    Z = params.W1 @ X + params.b1[:, None]
-    _check_finite(Z, "convolution")
+    Z = params.W1 @ X
+    Z += params.b1[:, None]
     argmax = np.argmax(Z, axis=1)  # ties resolve to the lowest column
     pooled = Z[np.arange(hp.n1), argmax]
     hidden = np.tanh(params.W2 @ pooled + params.b2)
-    _check_finite(hidden, "hidden")
     combined = hidden if lexfeat is None else np.concatenate([hidden, lexfeat])
     scores = params.W3 @ combined + params.b3
-    _check_finite(scores, "scores")
+    if not np.isfinite(Z.sum() + scores.sum()):
+        for value, layer in ((Z, "convolution"), (hidden, "hidden"), (scores, "scores")):
+            _check_finite(value, layer)
     probs = softmax(scores)
-    _check_finite(probs, "softmax")
     cache = ForwardCache(
         tuple(indices), X, Z, argmax, pooled, hidden, combined, lexfeat, scores, probs
     )
@@ -229,15 +247,15 @@ def loss(
     """
     ce = -float(np.dot(target, np.log(probs)))
     reg = (
-        hp.lambda_w1 * float(np.sum(params.W1 * params.W1))
-        + hp.lambda_w2 * float(np.sum(params.W2 * params.W2))
-        + hp.lambda_w3 * float(np.sum(params.W3 * params.W3))
+        hp.lambda_w1 * float(np.vdot(params.W1, params.W1))
+        + hp.lambda_w2 * float(np.vdot(params.W2, params.W2))
+        + hp.lambda_w3 * float(np.vdot(params.W3, params.W3))
     )
     if touched_cols is None:
-        reg += hp.lambda_we * float(np.sum(params.We * params.We))
+        reg += hp.lambda_we * float(np.vdot(params.We, params.We))
     elif len(touched_cols) > 0:
         cols = params.We[:, list(touched_cols)]
-        reg += hp.lambda_we * float(np.sum(cols * cols))
+        reg += hp.lambda_we * float(np.vdot(cols, cols))
     return ce + reg
 
 
@@ -251,7 +269,14 @@ def backward(
 
     Max pooling routes gradient only to each filter's argmax column; only
     touched embedding columns receive gradient (with their share of the
-    regularizer), so untouched columns are exactly zero.
+    regularizer), so untouched columns are exactly zero.  The dWe keys are
+    ``regularized_columns(cache.indices, hp)``, the columns ``loss``
+    penalises.
+
+    Raises NumericError naming 'gradients' when any block holds a
+    non-finite value.  The fast check tests the sum of all blocks; only a
+    non-finite (or overflowing) sum runs the per-block ``_check_finite``
+    calls.
     """
     params.check_shapes(hp)
     if cache.probs.shape != (hp.K,) or cache.Z.shape[0] != hp.n1:
@@ -260,48 +285,40 @@ def backward(
         raise ValueError("forward cache is stale: window matrix shape mismatch")
 
     t = len(cache.indices)
-    half = (hp.w - 1) // 2
 
     dscores = cache.probs - target
-    dW3 = np.outer(dscores, cache.combined) + 2.0 * hp.lambda_w3 * params.W3
-    db3 = dscores.copy()
+    dW3 = np.multiply(params.W3, 2.0 * hp.lambda_w3)
+    dW3 += np.outer(dscores, cache.combined)
     dcombined = params.W3.T @ dscores
     dhidden = dcombined[: hp.n2]
 
     dpre = (1.0 - cache.hidden**2) * dhidden
-    dW2 = np.outer(dpre, cache.pooled) + 2.0 * hp.lambda_w2 * params.W2
-    db2 = dpre.copy()
+    dW2 = np.multiply(params.W2, 2.0 * hp.lambda_w2)
+    dW2 += np.outer(dpre, cache.pooled)
     dpooled = params.W2.T @ dpre
 
-    # dZ has one nonzero per row, at the pooled column.
-    dW1 = dpooled[:, None] * cache.X[:, cache.argmax].T + 2.0 * hp.lambda_w1 * params.W1
-    db1 = dpooled.copy()
-    dX_T = np.zeros((t, hp.d_w))
-    np.add.at(dX_T, cache.argmax, dpooled[:, None] * params.W1)
+    # dZ has one nonzero per row, dpooled at the pooled column, so
+    # dZ @ X.T scales each filter's pooled window and dX = W1.T @ dZ.
+    pooled_windows = cache.X.T[cache.argmax]
+    pooled_windows *= dpooled[:, None]
+    dW1 = np.multiply(params.W1, 2.0 * hp.lambda_w1)
+    dW1 += pooled_windows
+    dZ = np.zeros((hp.n1, t))
+    dZ[np.arange(hp.n1), cache.argmax] = dpooled
+    # Row j*w + b is the gradient of window slot b at position j.
+    dX_slots = (dZ.T @ params.W1).reshape(t * hp.w, hp.d)
 
-    dWe: dict[int, np.ndarray] = {}
-    for j in range(t):
-        for b in range(hp.w):
-            pos = j - half + b
-            idx = cache.indices[pos] if 0 <= pos < t else PAD_INDEX
-            if idx == PAD_INDEX and not hp.train_pad:
-                continue
-            g = dX_T[j, b * hp.d : (b + 1) * hp.d]
-            if idx in dWe:
-                dWe[idx] += g
-            else:
-                dWe[idx] = g.copy()
-    for idx in regularized_columns(cache.indices, hp):
-        reg = 2.0 * hp.lambda_we * params.We[:, idx]
-        if idx in dWe:
-            dWe[idx] += reg
-        else:
-            dWe[idx] = reg
+    # Sum the slot gradients of each trained column with a one-hot matmul.
+    cols = regularized_columns(cache.indices, hp)
+    slot_ids = _window_ids(cache.indices, hp.w).ravel()
+    dWe_cols = np.equal.outer(cols, slot_ids).astype(np.float64) @ dX_slots
+    dWe_cols += (2.0 * hp.lambda_we) * params.We[:, cols].T
 
-    grads = Gradients(dW1, db1, dW2, db2, dW3, db3, dWe)
-    for block in (dW1, db1, dW2, db2, dW3, db3, *dWe.values()):
-        _check_finite(block, "gradients")
-    return grads
+    blocks = (dW1, dpooled, dW2, dpre, dW3, dscores, dWe_cols)
+    if not np.isfinite(sum(block.sum() for block in blocks)):
+        for block in blocks:
+            _check_finite(block, "gradients")
+    return Gradients(dW1, dpooled, dW2, dpre, dW3, dscores, dict(zip(cols, dWe_cols)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ of pre-encoded paths can supply random negatives instead.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -113,10 +113,7 @@ class TrainConfig:
 
 
 _INT_KEYS = {"d", "w", "n1", "n2", "max_epochs", "patience", "seed", "min_count"}
-_FLOAT_KEYS = {
-    "lambda_we", "lambda_w1", "lambda_w2", "lambda_w3",
-    "learning_rate", "epsilon",
-}
+_FLOAT_KEYS = {"lambda_we", "lambda_w1", "lambda_w2", "lambda_w3", "learning_rate"}
 _PATH_KEYS = {"pool_path", "embeddings_path", "lex_features_path", "labels_path"}
 
 
@@ -136,26 +133,41 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
+_ENUM_KEYS: dict[str, type[Enum]] = {
+    "regime": Regime, "negatives": NegativeScheme, "mode": PathMode,
+}
+
+
 def config_from_mapping(values: Mapping[str, str]) -> TrainConfig:
-    """Build a TrainConfig from string key/value pairs (file or CLI)."""
+    """Build a TrainConfig from string key/value pairs (file or CLI).
+
+    A value that does not parse raises ConfigError naming the key, the
+    value and, for enumerated keys, the allowed values.
+    """
     kwargs: dict = {}
     for key, value in values.items():
-        if key == "regime":
-            kwargs["regime"] = Regime(value)
-        elif key == "negatives":
-            kwargs["negatives"] = NegativeScheme(value)
-        elif key == "mode":
-            kwargs["mode"] = PathMode(value)
-        elif key == "epsilon":
-            kwargs["adagrad_epsilon"] = float(value)
-        elif key in _INT_KEYS:
-            kwargs[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = float(value)
-        elif key in _PATH_KEYS:
+        if key in _PATH_KEYS:
             kwargs[key] = value or None
+            continue
+        if key in _ENUM_KEYS:
+            parse = _ENUM_KEYS[key]
+        elif key in _INT_KEYS:
+            parse = int
+        elif key in _FLOAT_KEYS or key == "epsilon":
+            parse = float
         else:
             raise ConfigError(f"unknown configuration key {key!r}")
+        try:
+            parsed = parse(value)
+        except ValueError:
+            if key in _ENUM_KEYS:
+                expected = "one of: " + ", ".join(m.value for m in parse)
+            else:
+                expected = f"a valid {parse.__name__}"
+            raise ConfigError(
+                f"configuration key {key!r}: {value!r} is not {expected}"
+            ) from None
+        kwargs["adagrad_epsilon" if key == "epsilon" else key] = parsed
     try:
         return TrainConfig(**kwargs)
     except ValueError as e:
@@ -320,26 +332,23 @@ def to_labeled(
     ]
 
 
-def build_training_set(
-    instances: Sequence[AlignedInstance],
-    config: TrainConfig,
-    labels: LabelSet,
-    vocab: Vocab,
-    lexfeats: Mapping[int, np.ndarray] | None = None,
-) -> tuple[list[LabeledInstance], list[int]]:
-    """Full pipeline from aligned instances to indexed training examples."""
-    paths, skipped = build_path_instances(instances, config, labels, lexfeats)
-    return to_labeled(paths, vocab, labels, config.regime), skipped
-
-
 # ---------------------------------------------------------------------------
 # AdaGrad
 # ---------------------------------------------------------------------------
 
 
+_DENSE_BLOCKS = ("W1", "b1", "W2", "b2", "W3", "b3")
+
+
 @dataclass
 class AdagradState:
-    """Accumulated squared gradients, same shapes as the parameters."""
+    """Accumulated squared gradients, same shapes as the parameters.
+
+    The state also owns two scratch buffers, sized for the largest dense
+    block and shared by all of them, which ``adagrad_update`` overwrites on
+    every call so that the dense update allocates nothing.  They live
+    exactly as long as the state, which ``train`` creates once per call.
+    """
 
     sWe: np.ndarray
     sW1: np.ndarray
@@ -348,6 +357,18 @@ class AdagradState:
     sb2: np.ndarray
     sW3: np.ndarray
     sb3: np.ndarray
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        accumulators = [getattr(self, "s" + name) for name in _DENSE_BLOCKS]
+        size = max(s.size for s in accumulators)
+        first, second = np.empty(size), np.empty(size)
+        self.scratch = {
+            name: (first[: s.size].reshape(s.shape), second[: s.size].reshape(s.shape))
+            for name, s in zip(_DENSE_BLOCKS, accumulators)
+        }
 
     @classmethod
     def zeros_like(cls, params: NetworkParams) -> "AdagradState":
@@ -361,18 +382,34 @@ def adagrad_update(
     learning_rate: float,
     epsilon: float,
 ) -> None:
-    """state += g²; param -= lr · g / (sqrt(state) + eps), elementwise.
+    """state += g²; param -= (lr · g) / (sqrt(state) + eps), elementwise.
 
-    Embedding columns update sparsely: only the columns carrying gradient.
+    Dense blocks update in place through the state's scratch buffers.
+    Embedding columns update sparsely, in one fancy-indexed step over the
+    columns carrying gradient.  ``grads`` is not modified.
     """
-    for name in ("W1", "b1", "W2", "b2", "W3", "b3"):
+    for name in _DENSE_BLOCKS:
         g = getattr(grads, "d" + name)
         s = getattr(state, "s" + name)
+        denom, step = state.scratch[name]
+        np.multiply(g, g, out=denom)
+        s += denom
+        np.sqrt(s, out=denom)
+        denom += epsilon
+        np.multiply(g, learning_rate, out=step)
+        step /= denom
+        getattr(params, name)[...] -= step
+    if grads.dWe:
+        cols = np.fromiter(grads.dWe, dtype=np.intp, count=len(grads.dWe))
+        g = np.array(list(grads.dWe.values())).T
+        s = state.sWe[:, cols]
         s += g * g
-        getattr(params, name)[...] -= learning_rate * g / (np.sqrt(s) + epsilon)
-    for col, g in grads.dWe.items():
-        state.sWe[:, col] += g * g
-        params.We[:, col] -= learning_rate * g / (np.sqrt(state.sWe[:, col]) + epsilon)
+        state.sWe[:, cols] = s
+        step = learning_rate * g
+        np.sqrt(s, out=s)
+        s += epsilon
+        step /= s
+        params.We[:, cols] -= step
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,49 @@
+"""Configuration parsing: bad values name their key, and the CLI exits with 1."""
+
+import pytest
+
+from sdprel.cli import main
+from sdprel.model import Regime
+from sdprel.training import ConfigError, config_from_mapping
+
+BAD_VALUES = [
+    ("d", "abc", ["'d'", "'abc'", "int"]),
+    ("learning_rate", "fast", ["'learning_rate'", "'fast'", "float"]),
+    ("epsilon", "1e", ["'epsilon'", "'1e'", "float"]),
+    ("regime", "nope", ["'regime'", "'nope'", "blind, sighted, sighted-ns"]),
+    ("negatives", "some", ["'negatives'", "'some'", "none, reversed, pool"]),
+    ("mode", "arcs", ["'mode'", "'arcs'", "labeled, directions-only"]),
+]
+
+
+@pytest.mark.parametrize("key, value, expected", BAD_VALUES)
+def test_bad_value_names_key_value_and_allowed(key, value, expected):
+    with pytest.raises(ConfigError) as info:
+        config_from_mapping({key: value})
+    for fragment in expected:
+        assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize("key, value, expected", BAD_VALUES)
+def test_cli_exits_1_with_the_key_in_the_message(tmp_path, capsys, key, value, expected):
+    config = tmp_path / "train.cfg"
+    config.write_text(f"{key} = {value}\n", encoding="utf-8")
+    missing = str(tmp_path / "absent")
+    code = main([
+        "train", "--config", str(config), "--train-sem", missing, "--train-conll", missing,
+        "--dev-sem", missing, "--dev-conll", missing, "--out", str(tmp_path / "m.json"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    for fragment in expected:
+        assert fragment in err
+
+
+def test_good_values_parse():
+    config = config_from_mapping(
+        {"regime": "blind", "negatives": "none", "d": "7", "epsilon": "1e-5", "pool_path": ""}
+    )
+    assert config.regime is Regime.BLIND
+    assert config.d == 7
+    assert config.adagrad_epsilon == 1e-5
+    assert config.pool_path is None
