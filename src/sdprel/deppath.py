@@ -1,23 +1,29 @@
-"""Shortest dependency paths: graph construction, BFS, and node-sequence encoding.
+"""Shortest dependency paths between two nominals, encoded as node sequences.
 
-A parse tree is viewed as an undirected graph; the unique simple path between
-the two nominal anchors is encoded as an alternating sequence of word, arrow,
-and (optionally) arc-label nodes.  Arrow convention: "→" marks a traversal
-step from dependent to head, "←" from head to dependent.
+The unique simple path between the two nominal anchors of a parse tree runs
+from one anchor up the head links to their lowest common ancestor and down
+to the other anchor.  ``instance_path`` finds it by walking head links from
+both anchors, which is exact because ``ParsedSentence`` guarantees a single
+rooted tree; the breadth-first search over an undirected graph that it
+replaced is kept as a test reference in ``tests/reference_path.py``.
+
+The path is encoded as an alternating sequence of word, arrow, and
+(optionally) arc-label nodes.  Arrow convention: "→" marks a traversal step
+from dependent to head, "←" from head to dependent; the label of a step is
+the arc label of its dependent.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
-from .corpus import Direction, ParsedSentence, RawInstance
+from .corpus import Direction, ParsedSentence, RawInstance, Token
 
 ARROW_TO_HEAD = "→"
 ARROW_TO_DEPENDENT = "←"
 _ARROWS = {ARROW_TO_HEAD, ARROW_TO_DEPENDENT}
-_FLIP = {ARROW_TO_HEAD: ARROW_TO_DEPENDENT, ARROW_TO_DEPENDENT: ARROW_TO_HEAD}
 
 
 class PathError(Exception):
@@ -47,10 +53,23 @@ class PathNode:
             raise ValueError(f"invalid arrow token {self.text!r}")
 
 
+#: Every arrow node on an extracted or reversed path is one of these two.
+TO_HEAD = PathNode(NodeKind.ARROW, ARROW_TO_HEAD)
+TO_DEPENDENT = PathNode(NodeKind.ARROW, ARROW_TO_DEPENDENT)
+
+_LABELED_UNIT = (NodeKind.WORD, NodeKind.ARROW, NodeKind.LABEL)
+_DIRECTIONS_UNIT = (NodeKind.WORD, NodeKind.ARROW)
+_kind_of = attrgetter("kind")
+
+
+def _unit(mode: PathMode) -> tuple[NodeKind, ...]:
+    """The node kinds of one step of a path: its first word and the arc after it."""
+    return _LABELED_UNIT if mode is PathMode.LABELED else _DIRECTIONS_UNIT
+
+
 def _kind_at(position: int, mode: PathMode) -> NodeKind:
-    if mode is PathMode.LABELED:
-        return (NodeKind.WORD, NodeKind.ARROW, NodeKind.LABEL)[position % 3]
-    return NodeKind.WORD if position % 2 == 0 else NodeKind.ARROW
+    unit = _unit(mode)
+    return unit[position % len(unit)]
 
 
 @dataclass(frozen=True)
@@ -61,14 +80,15 @@ class NodeSequence:
     mode: PathMode
 
     def __post_init__(self) -> None:
-        n = len(self.nodes)
-        step = 3 if self.mode is PathMode.LABELED else 2
+        unit = _unit(self.mode)
+        n, step = len(self.nodes), len(unit)
         if n < 1 or n % step != 1:
             raise ValueError(f"sequence of {n} nodes does not fit mode {self.mode.value}")
-        for i, node in enumerate(self.nodes):
-            want = _kind_at(i, self.mode)
-            if node.kind is not want:
-                raise ValueError(f"node {i}: expected {want.value}, got {node.kind.value}")
+        if tuple(map(_kind_of, self.nodes)) != unit * (n // step) + (NodeKind.WORD,):
+            for i, node in enumerate(self.nodes):
+                want = unit[i % step]
+                if node.kind is not want:
+                    raise ValueError(f"node {i}: expected {want.value}, got {node.kind.value}")
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -78,41 +98,7 @@ class NodeSequence:
 
     @property
     def n_edges(self) -> int:
-        step = 3 if self.mode is PathMode.LABELED else 2
-        return (len(self.nodes) - 1) // step
-
-
-@dataclass(frozen=True)
-class Edge:
-    neighbor: int
-    deprel: str
-    to_head: bool
-
-
-@dataclass(frozen=True)
-class DepGraph:
-    """Undirected adjacency view of a parse tree (root link excluded)."""
-
-    n: int
-    adjacency: tuple[tuple[Edge, ...], ...]
-
-    def edge_between(self, i: int, j: int) -> Edge:
-        for e in self.adjacency[i]:
-            if e.neighbor == j:
-                return e
-        raise PathError(f"no arc between tokens {i} and {j}")
-
-
-def build_graph(parse: ParsedSentence) -> DepGraph:
-    """Turn head links into labeled, orientation-tagged undirected adjacency."""
-    n = len(parse)
-    adj: list[list[Edge]] = [[] for _ in range(n)]
-    for i, tok in enumerate(parse.tokens):
-        if tok.head is None:
-            continue
-        adj[i].append(Edge(tok.head, tok.deprel, to_head=True))
-        adj[tok.head].append(Edge(i, tok.deprel, to_head=False))
-    return DepGraph(n, tuple(tuple(edges) for edges in adj))
+        return (len(self.nodes) - 1) // len(_unit(self.mode))
 
 
 def select_anchor(span: tuple[int, int], parse: ParsedSentence) -> int:
@@ -132,68 +118,69 @@ def select_anchor(span: tuple[int, int], parse: ParsedSentence) -> int:
     return hi
 
 
-def shortest_path(g: DepGraph, a: int, b: int) -> list[int]:
-    """BFS from a to b; in a tree this is the unique simple path."""
+def _word(token: Token) -> PathNode:
+    return PathNode(NodeKind.WORD, token.form.lower())
+
+
+def instance_path(raw: RawInstance, parse: ParsedSentence, mode: PathMode) -> NodeSequence:
+    """The encoded shortest path from the e1 anchor to the e2 anchor.
+
+    Words are lower-cased and arc labels kept verbatim.
+    """
+    a = select_anchor(raw.e1_span, parse)
+    b = select_anchor(raw.e2_span, parse)
+    tokens = parse.tokens
+    n = len(tokens)
     if a == b:
         raise PathError(f"degenerate pair: both anchors are token {a}")
-    if not (0 <= a < g.n and 0 <= b < g.n):
-        raise PathError(f"anchor out of range: {a}, {b} (n={g.n})")
-    parent = [-1] * g.n
-    parent[a] = a
-    queue = deque([a])
-    while queue:
-        i = queue.popleft()
-        if i == b:
-            break
-        for e in g.adjacency[i]:
-            if parent[e.neighbor] == -1:
-                parent[e.neighbor] = i
-                queue.append(e.neighbor)
-    if parent[b] == -1:
-        raise PathError(f"no path between tokens {a} and {b}")
-    path = [b]
-    while path[-1] != a:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
+    if not (0 <= a < n and 0 <= b < n):
+        raise PathError(f"anchor out of range: {a}, {b} (n={n})")
+    # a and its ancestors up to the root, each with its place on that chain
+    up = [a]
+    while (head := tokens[up[-1]].head) is not None:
+        up.append(head)
+    place = {t: k for k, t in enumerate(up)}
+    # b and its ancestors below the lowest common ancestor, which is on `up`
+    down: list[int] = []
+    j = b
+    while j not in place:
+        down.append(j)
+        j = tokens[j].head
+    del up[place[j] + 1 :]
 
-
-def encode_path(
-    path: list[int], g: DepGraph, parse: ParsedSentence, mode: PathMode
-) -> NodeSequence:
-    """Encode a token path as word/arrow/label nodes; words are lower-cased."""
-    nodes = [PathNode(NodeKind.WORD, parse.tokens[path[0]].form.lower())]
-    for i, j in zip(path, path[1:]):
-        edge = g.edge_between(i, j)
-        arrow = ARROW_TO_HEAD if edge.to_head else ARROW_TO_DEPENDENT
-        nodes.append(PathNode(NodeKind.ARROW, arrow))
-        if mode is PathMode.LABELED:
-            nodes.append(PathNode(NodeKind.LABEL, edge.deprel))
-        nodes.append(PathNode(NodeKind.WORD, parse.tokens[j].form.lower()))
+    labeled = mode is PathMode.LABELED
+    nodes = [_word(tokens[a])]
+    for child, head in zip(up, up[1:]):
+        nodes.append(TO_HEAD)
+        if labeled:
+            nodes.append(PathNode(NodeKind.LABEL, tokens[child].deprel))
+        nodes.append(_word(tokens[head]))
+    for child in reversed(down):
+        nodes.append(TO_DEPENDENT)
+        if labeled:
+            nodes.append(PathNode(NodeKind.LABEL, tokens[child].deprel))
+        nodes.append(_word(tokens[child]))
     return NodeSequence(tuple(nodes), mode)
+
+
+def _flipped(arrow: PathNode) -> PathNode:
+    return TO_DEPENDENT if arrow.text == ARROW_TO_HEAD else TO_HEAD
 
 
 def reverse_path(s: NodeSequence) -> NodeSequence:
     """Reverse the path, keeping each arrow/label unit on its edge and
     flipping every arrow."""
-    step = 3 if s.mode is PathMode.LABELED else 2
-    words = s.nodes[::step]
-    units = [tuple(s.nodes[i : i + step - 1]) for i in range(1, len(s.nodes), step)]
-    nodes: list[PathNode] = [words[-1]]
-    for word, unit in zip(reversed(words[:-1]), reversed(units)):
-        arrow = unit[0]
-        nodes.append(PathNode(NodeKind.ARROW, _FLIP[arrow.text]))
-        nodes.extend(unit[1:])
-        nodes.append(word)
-    return NodeSequence(tuple(nodes), s.mode)
-
-
-def instance_path(raw: RawInstance, parse: ParsedSentence, mode: PathMode) -> NodeSequence:
-    """The encoded shortest path from the e1 anchor to the e2 anchor."""
-    g = build_graph(parse)
-    a = select_anchor(raw.e1_span, parse)
-    b = select_anchor(raw.e2_span, parse)
-    return encode_path(shortest_path(g, a, b), g, parse, mode)
+    nodes = s.nodes
+    out = list(nodes)
+    if s.mode is PathMode.LABELED:
+        # w0 a0 l0 w1 ... a(k-1) l(k-1) wk  ->  wk a(k-1)' l(k-1) ... w1 a0' l0 w0
+        out[0::3] = nodes[-1::-3]
+        out[1::3] = map(_flipped, nodes[-3::-3])
+        out[2::3] = nodes[-2::-3]
+    else:
+        out[0::2] = nodes[-1::-2]
+        out[1::2] = map(_flipped, nodes[-2::-2])
+    return NodeSequence(tuple(out), s.mode)
 
 
 def subject_first_path(

@@ -56,6 +56,7 @@ class Vocab:
         return self._index.get(s, UNK_INDEX)  # type: ignore[attr-defined]
 
     def indexify(self, s: NodeSequence) -> tuple[int, ...]:
+        """Node-by-node index lookup; unseen strings map to the unknown bucket."""
         return tuple(self.lookup(n.text) for n in s.nodes)
 
 
@@ -74,11 +75,6 @@ def build_vocab(sequences: Iterable[NodeSequence], min_count: int = 1) -> Vocab:
     kept = [s for s in order if counts[s] >= min_count]
     items = (PAD_TOKEN, UNK_TOKEN, *kept)
     return Vocab(items, frozenset(w for w in words if counts[w] >= min_count))
-
-
-def indexify(s: NodeSequence, vocab: Vocab) -> tuple[int, ...]:
-    """Node-by-node index lookup; unseen strings map to the unknown bucket."""
-    return vocab.indexify(s)
 
 
 def load_pretrained(path: str | Path, d: int) -> dict[str, np.ndarray]:

@@ -24,7 +24,7 @@ from .corpus import (
     OTHER_LABEL,
 )
 from .deppath import PathError, instance_path, reverse_path, subject_first_path
-from .model import Regime, TrainedModel
+from .model import Regime, TrainedModel, class_space_size
 from .network import forward
 
 
@@ -49,7 +49,7 @@ def combine(
     best non-Other class across both directions decides base and direction,
     ties broken toward the forward (e1→e2) path.
     """
-    k = labels.n_relations + 1
+    k = class_space_size(Regime.SIGHTED_NS, labels)
     if fwd_probs.shape != (k,) or rev_probs.shape != (k,):
         raise ValueError(
             f"expected two distributions of length {k}, got "
@@ -67,14 +67,16 @@ def combine(
     return label, float(rev_probs[best_rev])
 
 
-def _lexfeat_for(
-    inst_id: int, model: TrainedModel, lexfeats: Mapping[int, np.ndarray] | None
+def lexfeat_for(
+    inst_id: int, f: int, lexfeats: Mapping[int, np.ndarray] | None
 ) -> np.ndarray | None:
-    if model.hp.f == 0:
+    """An instance's length-f lexical features; zeros when it has none listed,
+    None when the network takes none (f == 0)."""
+    if f == 0:
         return None
     if lexfeats is not None and inst_id in lexfeats:
         return lexfeats[inst_id]
-    return np.zeros(model.hp.f)
+    return np.zeros(f)
 
 
 def predict_corpus(
@@ -89,11 +91,7 @@ def predict_corpus(
     confidence 0; the count of such failures is returned alongside.
     """
     regime = regime or model.regime
-    need_k = (
-        2 * model.labels.n_relations + 1
-        if regime is Regime.BLIND
-        else model.labels.n_relations + 1
-    )
+    need_k = class_space_size(regime, model.labels)
     if model.hp.K != need_k:
         raise ValueError(
             f"model has {model.hp.K} classes but regime {regime.value} needs {need_k}"
@@ -102,7 +100,7 @@ def predict_corpus(
     predictions: list[Prediction] = []
     failed = 0
     for inst in instances:
-        lex = _lexfeat_for(inst.raw.id, model, lexfeats)
+        lex = lexfeat_for(inst.raw.id, model.hp.f, lexfeats)
         try:
             if regime is Regime.SIGHTED:
                 seq = subject_first_path(inst.raw, inst.parse, model.mode)

@@ -36,6 +36,14 @@ class Regime(Enum):
     SIGHTED_NS = "sighted-ns"
 
 
+def class_space_size(regime: Regime, labels: LabelSet) -> int:
+    """The network's output size: both directions of every relation plus
+    Other under BLIND, the base relations plus Other otherwise."""
+    if regime is Regime.BLIND:
+        return 2 * labels.n_relations + 1
+    return labels.n_relations + 1
+
+
 @dataclass
 class TrainedModel:
     hp: Hyperparams
@@ -76,22 +84,34 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    tag = doc.get("format")
+    """Read a model file; a file that is not a model raises a ValueError
+    naming the path and, when a key is missing, the key."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as e:  # JSON syntax or text encoding
+        raise ValueError(f"model file {path}: not valid JSON: {e}") from None
+    tag = doc.get("format") if isinstance(doc, dict) else None
     if tag != FORMAT_TAG:
-        raise ValueError(f"unsupported model format {tag!r} (expected {FORMAT_TAG!r})")
-    hp = Hyperparams(**doc["hyperparams"])
-    params = NetworkParams(
-        **{name: np.array(doc["params"][name], dtype=np.float64)
-           for name in ("We", "W1", "b1", "W2", "b2", "W3", "b3")}
-    )
-    params.check_shapes(hp)
-    vocab = Vocab(tuple(doc["vocab"]["items"]), frozenset(doc["vocab"]["word_strings"]))
-    return TrainedModel(
-        hp=hp,
-        vocab=vocab,
-        labels=LabelSet(tuple(doc["labels"])),
-        mode=PathMode(doc["mode"]),
-        regime=Regime(doc["regime"]),
-        params=params,
-    )
+        raise ValueError(
+            f"model file {path}: unsupported model format {tag!r} (expected {FORMAT_TAG!r})"
+        )
+    try:
+        hp = Hyperparams(**doc["hyperparams"])
+        params = NetworkParams(
+            **{name: np.array(doc["params"][name], dtype=np.float64)
+               for name in ("We", "W1", "b1", "W2", "b2", "W3", "b3")}
+        )
+        params.check_shapes(hp)
+        vocab = Vocab(tuple(doc["vocab"]["items"]), frozenset(doc["vocab"]["word_strings"]))
+        return TrainedModel(
+            hp=hp,
+            vocab=vocab,
+            labels=LabelSet(tuple(doc["labels"])),
+            mode=PathMode(doc["mode"]),
+            regime=Regime(doc["regime"]),
+            params=params,
+        )
+    except KeyError as e:
+        raise ValueError(f"model file {path}: missing key {e.args[0]!r}") from None
+    except (IndexError, TypeError, ValueError) as e:  # wrong types or shapes
+        raise ValueError(f"model file {path}: {e}") from None

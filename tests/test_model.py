@@ -1,10 +1,11 @@
-"""Model artifact serialization round trips."""
+"""Model artifact serialization round trips, and errors for files that are not models."""
 
 import json
 
 import numpy as np
 import pytest
 
+from sdprel.cli import main
 from sdprel.corpus import LabelSet
 from sdprel.deppath import PathMode
 from sdprel.embeddings import Vocab
@@ -55,3 +56,35 @@ def test_unknown_format_tag_rejected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="format"):
         load_model(path)
+
+
+def _predict_with(model_path, tmp_path, capsys):
+    absent = str(tmp_path / "absent")
+    code = main([
+        "predict", "--model", str(model_path), "--sem", absent, "--conll", absent,
+        "--out", str(tmp_path / "pred.txt"),
+    ])
+    return code, capsys.readouterr().err.splitlines()
+
+
+def test_truncated_model_file_names_the_path(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    save_model(small_model(), path)
+    path.write_text(path.read_text()[:11])
+    with pytest.raises(ValueError, match="model.json: not valid JSON"):
+        load_model(path)
+    code, err = _predict_with(path, tmp_path, capsys)
+    assert code == 1
+    assert len(err) == 1
+    assert str(path) in err[0] and "line 1 column 12" in err[0]
+
+
+def test_missing_key_names_the_path_and_the_key(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"format": "sdprel-model/1"}))
+    with pytest.raises(ValueError, match="missing key 'hyperparams'"):
+        load_model(path)
+    code, err = _predict_with(path, tmp_path, capsys)
+    assert code == 1
+    assert len(err) == 1
+    assert str(path) in err[0] and "'hyperparams'" in err[0]
