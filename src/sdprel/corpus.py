@@ -324,29 +324,30 @@ def parse_semeval_file(path: str | Path, labels: LabelSet = DEFAULT_LABELS) -> l
         if not line.strip():
             i += 1
             continue
+        where = f"{path}: line {i + 1}"
         m = _RECORD_RE.match(line)
         if m is None:
-            raise CorpusError(f"line {i + 1}: expected 'ID<TAB>\"sentence\"' record")
+            raise CorpusError(f"{where}: expected 'ID<TAB>\"sentence\"' record")
         inst_id = int(m.group(1))
         if inst_id in seen_ids:
-            raise CorpusError(f"line {i + 1}: duplicate instance id {inst_id}")
+            raise CorpusError(f"{where}: duplicate instance id {inst_id}")
         seen_ids.add(inst_id)
-        tokens, e1_span, e2_span = _tokenize_marked(m.group(2), f"line {i + 1}")
+        tokens, e1_span, e2_span = _tokenize_marked(m.group(2), where)
 
         i += 1
         if i >= len(lines) or not lines[i].strip():
-            raise CorpusError(f"line {i}: record {inst_id} has no label line")
+            raise CorpusError(f"{path}: line {i}: record {inst_id} has no label line")
         try:
             label = labels.parse(lines[i])
         except CorpusError as e:
-            raise CorpusError(f"line {i + 1}: {e}") from None
+            raise CorpusError(f"{path}: line {i + 1}: {e}") from None
         i += 1
         while i < len(lines) and lines[i].startswith("Comment"):
             i += 1
         try:
             instances.append(RawInstance(inst_id, tokens, e1_span, e2_span, label))
         except ValueError as e:
-            raise CorpusError(str(e)) from None
+            raise CorpusError(f"{where}: {e}") from None
     return instances
 
 
@@ -384,33 +385,33 @@ def read_conll(path: str | Path) -> list[ParsedSentence]:
     ):
         if not line.strip():
             if block:
-                sentences.append(_finish_block(block, ordinal))
+                sentences.append(_finish_block(block, path, ordinal))
                 block = []
                 ordinal += 1
             continue
         cols = line.split("\t")
         if len(cols) < 8:
             raise CorpusError(
-                f"sentence {ordinal}, line {lineno}: expected >= 8 tab-separated "
-                f"columns, found {len(cols)}"
+                f"{path}: sentence {ordinal}, line {lineno}: expected >= 8 "
+                f"tab-separated columns, found {len(cols)}"
             )
         try:
             head = int(cols[6])
         except ValueError:
             raise CorpusError(
-                f"sentence {ordinal}, line {lineno}: non-integer HEAD {cols[6]!r}"
+                f"{path}: sentence {ordinal}, line {lineno}: non-integer HEAD {cols[6]!r}"
             ) from None
         block.append(Token(cols[1], None if head == 0 else head - 1, cols[7]))
     if block:
-        sentences.append(_finish_block(block, ordinal))
+        sentences.append(_finish_block(block, path, ordinal))
     return sentences
 
 
-def _finish_block(block: list[Token], ordinal: int) -> ParsedSentence:
+def _finish_block(block: list[Token], path: str | Path, ordinal: int) -> ParsedSentence:
     try:
         return ParsedSentence(tuple(block))
     except CorpusError as e:
-        raise CorpusError(f"sentence {ordinal}: {e}") from None
+        raise CorpusError(f"{path}: sentence {ordinal}: {e}") from None
 
 
 def write_conll(sentences: Iterable[ParsedSentence], path: str | Path) -> None:

@@ -96,10 +96,6 @@ class NodeSequence:
     def texts(self) -> list[str]:
         return [n.text for n in self.nodes]
 
-    @property
-    def n_edges(self) -> int:
-        return (len(self.nodes) - 1) // len(_unit(self.mode))
-
 
 def select_anchor(span: tuple[int, int], parse: ParsedSentence) -> int:
     """Pick the span's syntactic head: the one token headed from outside.

@@ -266,6 +266,9 @@ def read_predictions(
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise CorpusError(f"line {lineno}: expected 'ID<TAB>label'")
-        out.append((int(parts[0]), labels.parse(parts[1])))
+            raise CorpusError(f"{path}: line {lineno}: expected 'ID<TAB>label'")
+        try:
+            out.append((int(parts[0]), labels.parse(parts[1])))
+        except (ValueError, CorpusError) as e:
+            raise CorpusError(f"{path}: line {lineno}: {e}") from None
     return out

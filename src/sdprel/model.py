@@ -7,7 +7,7 @@ Saved as a single JSON document.  Floats survive the round trip bit-exactly
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -16,7 +16,7 @@ import numpy as np
 from .corpus import LabelSet
 from .deppath import PathMode
 from .embeddings import Vocab
-from .network import Hyperparams, NetworkParams
+from .network import BLOCKS, Hyperparams, NetworkParams
 
 FORMAT_TAG = "sdprel-model/1"
 
@@ -53,21 +53,11 @@ class TrainedModel:
     regime: Regime
     params: NetworkParams
 
-    @property
-    def n_classes(self) -> int:
-        return self.hp.K
-
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
-    hp = model.hp
     doc = {
         "format": FORMAT_TAG,
-        "hyperparams": {
-            "d": hp.d, "w": hp.w, "n1": hp.n1, "n2": hp.n2, "K": hp.K, "f": hp.f,
-            "lambda_we": hp.lambda_we, "lambda_w1": hp.lambda_w1,
-            "lambda_w2": hp.lambda_w2, "lambda_w3": hp.lambda_w3,
-            "train_pad": hp.train_pad,
-        },
+        "hyperparams": asdict(model.hp),
         "mode": model.mode.value,
         "regime": model.regime.value,
         "labels": list(model.labels.bases),
@@ -75,10 +65,7 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
             "items": list(model.vocab.items),
             "word_strings": sorted(model.vocab.word_strings),
         },
-        "params": {
-            name: getattr(model.params, name).tolist()
-            for name in ("We", "W1", "b1", "W2", "b2", "W3", "b3")
-        },
+        "params": {name: getattr(model.params, name).tolist() for name in BLOCKS},
     }
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
@@ -98,8 +85,7 @@ def load_model(path: str | Path) -> TrainedModel:
     try:
         hp = Hyperparams(**doc["hyperparams"])
         params = NetworkParams(
-            **{name: np.array(doc["params"][name], dtype=np.float64)
-               for name in ("We", "W1", "b1", "W2", "b2", "W3", "b3")}
+            **{name: np.array(doc["params"][name], dtype=np.float64) for name in BLOCKS}
         )
         params.check_shapes(hp)
         vocab = Vocab(tuple(doc["vocab"]["items"]), frozenset(doc["vocab"]["word_strings"]))

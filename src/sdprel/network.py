@@ -14,8 +14,7 @@ name the failing layer run only when a sum is not finite.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -63,35 +62,49 @@ class Hyperparams:
         return self.d * self.w
 
 
+#: The trainable blocks, in the order of every per-block loop, of the random
+#: draws in initialisation and gradcheck, and of the model file.
+BLOCKS = ("We", "W1", "b1", "W2", "b2", "W3", "b3")
+#: The blocks AdaGrad updates densely; We columns update sparsely.
+DENSE_BLOCKS = BLOCKS[1:]
+
+
+def block_shapes(hp: Hyperparams, vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """Each block's shape, in BLOCKS order, for a vocabulary of vocab_size."""
+    return {
+        "We": (hp.d, vocab_size),
+        "W1": (hp.n1, hp.d_w),
+        "b1": (hp.n1,),
+        "W2": (hp.n2, hp.n1),
+        "b2": (hp.n2,),
+        "W3": (hp.K, hp.n2 + hp.f),
+        "b3": (hp.K,),
+    }
+
+
 @dataclass
 class NetworkParams:
-    """All trainable matrices; We columns are indexed by vocabulary id."""
+    """All trainable matrices; We columns are indexed by vocabulary id.
 
-    We: np.ndarray  # d x |V|
-    W1: np.ndarray  # n1 x d*w
-    b1: np.ndarray  # n1
-    W2: np.ndarray  # n2 x n1
-    b2: np.ndarray  # n2
-    W3: np.ndarray  # K x (n2 + f)
-    b3: np.ndarray  # K
+    The fields are BLOCKS, in that order; ``block_shapes`` gives their shapes.
+    """
+
+    We: np.ndarray
+    W1: np.ndarray
+    b1: np.ndarray
+    W2: np.ndarray
+    b2: np.ndarray
+    W3: np.ndarray
+    b3: np.ndarray
 
     def copy(self) -> "NetworkParams":
         return NetworkParams(*(m.copy() for m in self.blocks()))
 
     def blocks(self) -> tuple[np.ndarray, ...]:
-        return (self.We, self.W1, self.b1, self.W2, self.b2, self.W3, self.b3)
+        return tuple(getattr(self, name) for name in BLOCKS)
 
     def check_shapes(self, hp: Hyperparams) -> None:
-        expect = {
-            "We": (hp.d, self.We.shape[1]),
-            "W1": (hp.n1, hp.d_w),
-            "b1": (hp.n1,),
-            "W2": (hp.n2, hp.n1),
-            "b2": (hp.n2,),
-            "W3": (hp.K, hp.n2 + hp.f),
-            "b3": (hp.K,),
-        }
-        for name, shape in expect.items():
+        for name, shape in block_shapes(hp, self.We.shape[1]).items():
             got = getattr(self, name).shape
             if got != shape:
                 raise ValueError(f"{name} has shape {got}, expected {shape}")
@@ -100,20 +113,16 @@ class NetworkParams:
 def init_network_params(hp: Hyperparams, We: np.ndarray, seed: int) -> NetworkParams:
     """Uniform fan-in/fan-out initialization for the dense layers; zero biases."""
     rng = np.random.default_rng(seed)
+    We = np.asarray(We, dtype=np.float64)
 
-    def glorot(rows: int, cols: int) -> np.ndarray:
-        limit = np.sqrt(6.0 / (rows + cols))
-        return rng.uniform(-limit, limit, size=(rows, cols))
+    def init(shape: tuple[int, ...]) -> np.ndarray:
+        if len(shape) == 1:
+            return np.zeros(shape)
+        limit = np.sqrt(6.0 / sum(shape))
+        return rng.uniform(-limit, limit, size=shape)
 
-    params = NetworkParams(
-        We=np.asarray(We, dtype=np.float64),
-        W1=glorot(hp.n1, hp.d_w),
-        b1=np.zeros(hp.n1),
-        W2=glorot(hp.n2, hp.n1),
-        b2=np.zeros(hp.n2),
-        W3=glorot(hp.K, hp.n2 + hp.f),
-        b3=np.zeros(hp.K),
-    )
+    shapes = block_shapes(hp, We.shape[1])
+    params = NetworkParams(We=We, **{name: init(shapes[name]) for name in DENSE_BLOCKS})
     params.check_shapes(hp)
     return params
 
@@ -368,15 +377,10 @@ def _random_case(cfg: dict, rng: np.random.Generator):
         train_pad=cfg["train_pad"],
     )
     vocab_size = 9
-    params = NetworkParams(
-        We=rng.normal(scale=0.5, size=(hp.d, vocab_size)),
-        W1=rng.normal(scale=0.5, size=(hp.n1, hp.d_w)),
-        b1=rng.normal(scale=0.2, size=hp.n1),
-        W2=rng.normal(scale=0.5, size=(hp.n2, hp.n1)),
-        b2=rng.normal(scale=0.2, size=hp.n2),
-        W3=rng.normal(scale=0.5, size=(hp.K, hp.n2 + hp.f)),
-        b3=rng.normal(scale=0.2, size=hp.K),
-    )
+    params = NetworkParams(**{
+        name: rng.normal(scale=0.5 if len(shape) == 2 else 0.2, size=shape)
+        for name, shape in block_shapes(hp, vocab_size).items()
+    })
     if not hp.train_pad:
         params.We[:, PAD_INDEX] = 0.0
     indices = tuple(rng.integers(1, vocab_size, size=cfg["t"]))
@@ -427,7 +431,7 @@ def grad_check(
     report must flag it.
     """
     rng = np.random.default_rng(seed)
-    errors: dict[str, float] = {k: 0.0 for k in ("We", "W1", "b1", "W2", "b2", "W3", "b3")}
+    errors: dict[str, float] = {name: 0.0 for name in BLOCKS}
 
     for cfg in _CHECK_CONFIGS:
         hp, params, indices, lexfeat, target = _random_case(cfg, rng)
@@ -442,7 +446,7 @@ def grad_check(
         if corrupt_block is not None:
             _corrupt(grads, corrupt_block, rng)
 
-        for name in ("W1", "b1", "W2", "b2", "W3", "b3"):
+        for name in DENSE_BLOCKS:
             analytic = getattr(grads, "d" + name)
             numeric = _fd_gradient(objective, getattr(params, name), step)
             errors[name] = max(errors[name], _relative_error(analytic, numeric))

@@ -11,7 +11,7 @@ import logging
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .embeddings import Vocab, build_vocab, init_embeddings
 from .infer_eval import lexfeat_for, macro_f1, predict_corpus
 from .model import Regime, TrainedModel, class_space_size
 from .network import (
+    DENSE_BLOCKS,
     Gradients,
     Hyperparams,
     NetworkParams,
@@ -63,8 +64,10 @@ class ConfigError(Exception):
 class TrainConfig:
     """Everything that determines a training run, file-loadable.
 
-    Defaults follow the reference setup: window 3, 200 convolution filters,
-    100 hidden units, per-matrix regularization (1e-4, 1e-3, 1e-4, 2e-3),
+    The configuration-file keys are the field names, and each value is
+    parsed by the field's type (``config_from_mapping``).  Defaults follow
+    the reference setup: window 3, 200 convolution filters, 100 hidden
+    units, per-matrix regularization (1e-4, 1e-3, 1e-4, 2e-3),
     50-dimensional embeddings.
     """
 
@@ -81,7 +84,7 @@ class TrainConfig:
     lambda_w2: float = 1e-4
     lambda_w3: float = 2e-3
     learning_rate: float = 0.01
-    adagrad_epsilon: float = 1e-6
+    epsilon: float = 1e-6
     max_epochs: int = 100
     patience: int = 5
     seed: int = 0
@@ -112,11 +115,6 @@ class TrainConfig:
         )
 
 
-_INT_KEYS = {"d", "w", "n1", "n2", "max_epochs", "patience", "seed", "min_count"}
-_FLOAT_KEYS = {"lambda_we", "lambda_w1", "lambda_w2", "lambda_w3", "learning_rate"}
-_PATH_KEYS = {"pool_path", "embeddings_path", "lex_features_path", "labels_path"}
-
-
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Read ``key = value`` lines; blank lines and # comments are skipped."""
     values: dict[str, str] = {}
@@ -127,15 +125,10 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
+            raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         values[key.strip()] = value.strip()
     return values
-
-
-_ENUM_KEYS: dict[str, type[Enum]] = {
-    "regime": Regime, "negatives": NegativeScheme, "mode": PathMode,
-}
 
 
 def config_from_mapping(values: Mapping[str, str]) -> TrainConfig:
@@ -144,30 +137,25 @@ def config_from_mapping(values: Mapping[str, str]) -> TrainConfig:
     A value that does not parse raises ConfigError naming the key, the
     value and, for enumerated keys, the allowed values.
     """
+    types = get_type_hints(TrainConfig)
     kwargs: dict = {}
     for key, value in values.items():
-        if key in _PATH_KEYS:
+        if key not in types:
+            raise ConfigError(f"unknown configuration key {key!r}")
+        parse = types[key]
+        if type(None) in get_args(parse):  # an optional path; empty means unset
             kwargs[key] = value or None
             continue
-        if key in _ENUM_KEYS:
-            parse = _ENUM_KEYS[key]
-        elif key in _INT_KEYS:
-            parse = int
-        elif key in _FLOAT_KEYS or key == "epsilon":
-            parse = float
-        else:
-            raise ConfigError(f"unknown configuration key {key!r}")
         try:
-            parsed = parse(value)
+            kwargs[key] = parse(value)
         except ValueError:
-            if key in _ENUM_KEYS:
+            if issubclass(parse, Enum):
                 expected = "one of: " + ", ".join(m.value for m in parse)
             else:
                 expected = f"a valid {parse.__name__}"
             raise ConfigError(
                 f"configuration key {key!r}: {value!r} is not {expected}"
             ) from None
-        kwargs["adagrad_epsilon" if key == "epsilon" else key] = parsed
     try:
         return TrainConfig(**kwargs)
     except ValueError as e:
@@ -198,7 +186,6 @@ class LabeledInstance:
     indices: tuple[int, ...]
     lexfeat: np.ndarray | None
     target: np.ndarray
-    provenance: Provenance
 
 
 def build_path_instances(
@@ -274,16 +261,19 @@ def read_lex_features(path: str | Path) -> dict[int, np.ndarray]:
             continue
         try:
             id_part, rest = line.split("\t", 1)
+            inst_id = int(id_part)
             vec = np.array([float(x) for x in rest.split()], dtype=np.float64)
         except ValueError:
-            raise ConfigError(f"lexical features line {lineno}: malformed") from None
+            raise ConfigError(
+                f"{path}: line {lineno}: expected 'ID<TAB>v1 v2 ...' lexical features"
+            ) from None
         if length is None:
             length = len(vec)
         elif len(vec) != length:
             raise ConfigError(
-                f"lexical features line {lineno}: length {len(vec)} != {length}"
+                f"{path}: line {lineno}: lexical feature length {len(vec)} != {length}"
             )
-        feats[int(id_part)] = vec
+        feats[inst_id] = vec
     return feats
 
 
@@ -311,11 +301,7 @@ def to_labeled(
 ) -> list[LabeledInstance]:
     return [
         LabeledInstance(
-            p.id,
-            vocab.indexify(p.seq),
-            p.lexfeat,
-            target_vector(p.label, regime, labels),
-            p.provenance,
+            p.id, vocab.indexify(p.seq), p.lexfeat, target_vector(p.label, regime, labels)
         )
         for p in path_instances
     ]
@@ -326,12 +312,9 @@ def to_labeled(
 # ---------------------------------------------------------------------------
 
 
-_DENSE_BLOCKS = ("W1", "b1", "W2", "b2", "W3", "b3")
-
-
 @dataclass
 class AdagradState:
-    """Accumulated squared gradients, same shapes as the parameters.
+    """Accumulated squared gradients, one parameter-shaped block each.
 
     The state also owns two scratch buffers, sized for the largest dense
     block and shared by all of them, which ``adagrad_update`` overwrites on
@@ -339,29 +322,23 @@ class AdagradState:
     exactly as long as the state, which ``train`` creates once per call.
     """
 
-    sWe: np.ndarray
-    sW1: np.ndarray
-    sb1: np.ndarray
-    sW2: np.ndarray
-    sb2: np.ndarray
-    sW3: np.ndarray
-    sb3: np.ndarray
+    sums: NetworkParams
     scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        accumulators = [getattr(self, "s" + name) for name in _DENSE_BLOCKS]
-        size = max(s.size for s in accumulators)
+        sums = [getattr(self.sums, name) for name in DENSE_BLOCKS]
+        size = max(s.size for s in sums)
         first, second = np.empty(size), np.empty(size)
         self.scratch = {
             name: (first[: s.size].reshape(s.shape), second[: s.size].reshape(s.shape))
-            for name, s in zip(_DENSE_BLOCKS, accumulators)
+            for name, s in zip(DENSE_BLOCKS, sums)
         }
 
     @classmethod
     def zeros_like(cls, params: NetworkParams) -> "AdagradState":
-        return cls(*(np.zeros_like(m) for m in params.blocks()))
+        return cls(NetworkParams(*(np.zeros_like(m) for m in params.blocks())))
 
 
 def adagrad_update(
@@ -377,9 +354,9 @@ def adagrad_update(
     Embedding columns update sparsely, in one fancy-indexed step over the
     columns carrying gradient.  ``grads`` is not modified.
     """
-    for name in _DENSE_BLOCKS:
+    for name in DENSE_BLOCKS:
         g = getattr(grads, "d" + name)
-        s = getattr(state, "s" + name)
+        s = getattr(state.sums, name)
         denom, step = state.scratch[name]
         np.multiply(g, g, out=denom)
         s += denom
@@ -391,9 +368,9 @@ def adagrad_update(
     if grads.dWe:
         cols = np.fromiter(grads.dWe, dtype=np.intp, count=len(grads.dWe))
         g = np.array(list(grads.dWe.values())).T
-        s = state.sWe[:, cols]
+        s = state.sums.We[:, cols]
         s += g * g
-        state.sWe[:, cols] = s
+        state.sums.We[:, cols] = s
         step = learning_rate * g
         np.sqrt(s, out=s)
         s += epsilon
@@ -455,7 +432,7 @@ def train(
                 raise NumericError(
                     f"epoch {epoch}, instance {inst.id}: {e}"
                 ) from None
-            adagrad_update(params, grads, state, config.learning_rate, config.adagrad_epsilon)
+            adagrad_update(params, grads, state, config.learning_rate, config.epsilon)
         mean_loss = total / len(train_set)
 
         dev_f1 = float("nan")

@@ -121,9 +121,9 @@ def adagrad_update(
     """
     for name in ("W1", "b1", "W2", "b2", "W3", "b3"):
         g = getattr(grads, "d" + name)
-        s = getattr(state, "s" + name)
+        s = getattr(state.sums, name)
         s += g * g
         getattr(params, name)[...] -= learning_rate * g / (np.sqrt(s) + epsilon)
     for col, g in grads.dWe.items():
-        state.sWe[:, col] += g * g
-        params.We[:, col] -= learning_rate * g / (np.sqrt(state.sWe[:, col]) + epsilon)
+        state.sums.We[:, col] += g * g
+        params.We[:, col] -= learning_rate * g / (np.sqrt(state.sums.We[:, col]) + epsilon)

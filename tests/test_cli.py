@@ -1,0 +1,126 @@
+"""The command-line interface end to end: every command on a small synthetic
+corpus, the exit-code contract, and input errors that name the file and line."""
+
+import pytest
+
+from sdprel.cli import main
+from synth import SYNTH_LABELS, directional_corpus, write_corpus
+
+SPLITS = {"train": (60, 1), "dev": (20, 1001), "test": (20, 2001)}
+
+
+@pytest.fixture
+def files(tmp_path):
+    """Annotated + CoNLL files per split, a label file and a small config."""
+    out = {}
+    for stem, (n, start) in SPLITS.items():
+        raws, parses = directional_corpus(n, seed=start, start_id=start)
+        out[stem + "-sem"], out[stem + "-conll"] = write_corpus(tmp_path, stem, raws, parses)
+    out["labels"] = tmp_path / "labels.txt"
+    out["labels"].write_text("\n".join(SYNTH_LABELS.bases) + "\n", encoding="utf-8")
+    out["config"] = tmp_path / "train.cfg"
+    out["config"].write_text(
+        "d = 8\nn1 = 12\nn2 = 8\nmax_epochs = 2\npatience = 2\n"
+        f"labels_path = {out['labels']}\n",
+        encoding="utf-8",
+    )
+    return out
+
+
+def train(files, out, *extra):
+    return main([
+        "train", "--config", str(files["config"]),
+        "--train-sem", str(files["train-sem"]), "--train-conll", str(files["train-conll"]),
+        "--dev-sem", str(files["dev-sem"]), "--dev-conll", str(files["dev-conll"]),
+        "--out", str(out), *extra,
+    ])
+
+
+def test_train_predict_score_extract_and_pool_training(files, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    assert train(files, model) == 0
+    assert model.is_file() and (tmp_path / "model.json.history").is_file()
+
+    pred = tmp_path / "pred.txt"
+    assert main([
+        "predict", "--model", str(model), "--sem", str(files["test-sem"]),
+        "--conll", str(files["test-conll"]), "--out", str(pred),
+    ]) == 0
+    ids = [int(line.split("\t")[0]) for line in pred.read_text().splitlines()]
+    assert ids == list(range(2001, 2001 + SPLITS["test"][0]))
+
+    capsys.readouterr()
+    assert main([
+        "score", "--gold", str(files["test-sem"]), "--pred", str(pred),
+        "--labels", str(files["labels"]),
+    ]) == 0
+    assert "macro_f1\t" in capsys.readouterr().out
+
+    pool = tmp_path / "pool.paths"
+    assert main([
+        "extract-paths", "--sem", str(files["train-sem"]), "--conll", str(files["train-conll"]),
+        "--out", str(pool), "--labels", str(files["labels"]),
+    ]) == 0
+    assert len(pool.read_text().splitlines()) == SPLITS["train"][0]
+
+    assert train(
+        files, tmp_path / "pool-model.json", "--set", "negatives=pool",
+        "--set", f"pool_path={pool}",
+    ) == 0
+    assert f"({SPLITS['train'][0]} negatives)" in capsys.readouterr().out
+
+
+def test_gradcheck_exits_0(capsys):
+    assert main(["gradcheck"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("PASS")
+
+
+@pytest.mark.parametrize("argv", [["train", "--bogus"], ["frobnicate"], ["gradcheck", "--seed", "x"]])
+def test_bad_flag_exits_1_not_2(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    assert ": error: " in capsys.readouterr().err
+
+
+BAD_INPUTS = [
+    # which file, its broken text, and the line the message must name
+    ("dev-sem", "not a record\n", "line 1: expected 'ID<TAB>\"sentence\"' record"),
+    ("train-conll", "1\tthe\t_\t_\t_\t_\t0\n", "sentence 1, line 1: expected >= 8"),
+    ("config", "d = 8\nno equals sign\n", "line 2: expected 'key = value'"),
+]
+
+
+@pytest.mark.parametrize("which, text, expected", BAD_INPUTS)
+def test_train_input_errors_name_the_file_and_line(files, tmp_path, capsys, which, text, expected):
+    files[which].write_text(text, encoding="utf-8")
+    assert train(files, tmp_path / "model.json") == 1
+    err = capsys.readouterr().err
+    assert f"{files[which]}: {expected}" in err
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("1\t0.5 0.25\nx7\t1.0 2.0\n", "line 2: expected 'ID<TAB>v1 v2 ...'"),
+    ("1\t0.5 0.25\n2\t1.0\n", "line 2: lexical feature length 1 != 2"),
+])
+def test_lexical_feature_errors_name_the_file_and_line(files, tmp_path, capsys, text, expected):
+    lex = tmp_path / "lex.txt"
+    lex.write_text(text, encoding="utf-8")
+    assert train(files, tmp_path / "model.json", "--set", f"lex_features_path={lex}") == 1
+    assert f"{lex}: {expected}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, expected", [
+    ("x7\tOther", "line 2: invalid literal for int() with base 10: 'x7'"),
+    ("2\tNope(e1,e2)", "line 2: unknown relation label 'Nope(e1,e2)'"),
+    ("2 Other", "line 2: expected 'ID<TAB>label'"),
+])
+def test_score_prediction_errors_name_the_file_and_line(files, tmp_path, capsys, line, expected):
+    gold = tmp_path / "gold.txt"
+    gold.write_text("1\tOther\n2\tOther\n", encoding="utf-8")
+    pred = tmp_path / "pred.txt"
+    pred.write_text(f"1\tOther\n{line}\n", encoding="utf-8")
+    code = main(["score", "--gold", str(gold), "--pred", str(pred),
+                 "--labels", str(files["labels"])])
+    assert code == 1
+    assert f"{pred}: {expected}" in capsys.readouterr().err

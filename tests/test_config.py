@@ -2,9 +2,11 @@
 
 import pytest
 
+import dataclasses
+
 from sdprel.cli import main
 from sdprel.model import Regime
-from sdprel.training import ConfigError, config_from_mapping
+from sdprel.training import ConfigError, TrainConfig, config_from_mapping
 
 BAD_VALUES = [
     ("d", "abc", ["'d'", "'abc'", "int"]),
@@ -45,5 +47,26 @@ def test_good_values_parse():
     )
     assert config.regime is Regime.BLIND
     assert config.d == 7
-    assert config.adagrad_epsilon == 1e-5
+    assert config.epsilon == 1e-5
     assert config.pool_path is None
+
+
+KEYS = {
+    "regime": "sighted-ns", "negatives": "reversed", "pool_path": "", "mode": "labeled",
+    "d": "50", "w": "3", "n1": "200", "n2": "100",
+    "lambda_we": "1e-4", "lambda_w1": "1e-3", "lambda_w2": "1e-4", "lambda_w3": "2e-3",
+    "learning_rate": "0.01", "epsilon": "1e-6", "max_epochs": "100", "patience": "5",
+    "seed": "0", "min_count": "1",
+    "embeddings_path": "", "lex_features_path": "", "labels_path": "",
+}
+
+
+def test_every_field_is_a_key_and_parses_to_its_default():
+    assert [f.name for f in dataclasses.fields(TrainConfig)] == list(KEYS)
+    assert config_from_mapping(KEYS) == TrainConfig()
+
+
+@pytest.mark.parametrize("key", ["adagrad_epsilon", "train_pad", "K", "hyperparams"])
+def test_names_that_are_not_fields_are_unknown_keys(key):
+    with pytest.raises(ConfigError, match=f"unknown configuration key '{key}'"):
+        config_from_mapping({key: "1"})

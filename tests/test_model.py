@@ -1,5 +1,6 @@
 """Model artifact serialization round trips, and errors for files that are not models."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -36,6 +37,27 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert again.labels == model.labels
     assert again.mode is model.mode
     assert again.regime is model.regime
+
+
+def test_model_file_bytes_are_pinned(tmp_path):
+    """The model file is an on-disk format: its key order and bytes for a
+    fixed small model must not change (the hash also pins numpy's PCG64
+    uniform stream, which ``small_model`` draws from)."""
+    path = tmp_path / "model.json"
+    save_model(small_model(), path)
+    data = path.read_bytes()
+    doc = json.loads(data)
+    assert list(doc) == ["format", "hyperparams", "mode", "regime", "labels", "vocab", "params"]
+    assert list(doc["hyperparams"]) == [
+        "d", "w", "n1", "n2", "K", "f",
+        "lambda_we", "lambda_w1", "lambda_w2", "lambda_w3", "train_pad",
+    ]
+    assert list(doc["vocab"]) == ["items", "word_strings"]
+    assert list(doc["params"]) == ["We", "W1", "b1", "W2", "b2", "W3", "b3"]
+    assert len(data) == 2079
+    assert hashlib.sha256(data).hexdigest() == (
+        "d5d799784a92fa7f499dd5df759b1bec36dda9a1446528e0d350830e2bedcbf8"
+    )
 
 
 def test_save_load_save_is_stable(tmp_path):

@@ -1,5 +1,6 @@
 """Forward pass, loss, exact gradients, and the finite-difference checker."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,11 +8,14 @@ import pytest
 
 from sdprel.embeddings import PAD_INDEX
 from sdprel.network import (
+    BLOCKS,
+    DENSE_BLOCKS,
     GradCheckReport,
     Hyperparams,
     NetworkParams,
     NumericError,
     backward,
+    block_shapes,
     forward,
     grad_check,
     init_network_params,
@@ -236,3 +240,12 @@ class TestGradCheck:
         report = GradCheckReport({"W1": 1e-9, "W2": 1e-2}, 1e-4, 1)
         text = report.render()
         assert "FAIL" in text and "ok" in text
+
+
+def test_block_list_is_the_field_order_and_the_shape_order():
+    hp = Hyperparams(d=2, w=3, n1=4, n2=5, K=6, f=1)
+    assert tuple(f.name for f in dataclasses.fields(NetworkParams)) == BLOCKS
+    assert tuple(block_shapes(hp, 7)) == BLOCKS
+    assert DENSE_BLOCKS == BLOCKS[1:]
+    params = init_network_params(hp, np.zeros((2, 7)), seed=0)
+    assert [m.shape for m in params.blocks()] == list(block_shapes(hp, 7).values())

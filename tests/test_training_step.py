@@ -24,7 +24,6 @@ from sdprel.network import (
 from sdprel.training import (
     AdagradState,
     LabeledInstance,
-    Provenance,
     adagrad_update,
     config_from_mapping,
     run_training,
@@ -120,7 +119,7 @@ def test_adagrad_update_matches_per_column_reference(seed):
     _, cache = forward(params, hp, indices, lexfeat)
     grads = ref.backward(cache, target, params, hp)
     grads_before = copy.deepcopy(grads)
-    state = AdagradState(*(rng.uniform(0.0, 2.0, size=m.shape) for m in params.blocks()))
+    state = AdagradState(NetworkParams(*(rng.uniform(0.0, 2.0, size=m.shape) for m in params.blocks())))
 
     got_params, got_state = params.copy(), copy.deepcopy(state)
     adagrad_update(got_params, grads, got_state, 0.05, 1e-6)
@@ -129,10 +128,10 @@ def test_adagrad_update_matches_per_column_reference(seed):
 
     for name in BLOCKS:
         assert_relative(getattr(got_params, name), getattr(want_params, name))
-        assert_relative(getattr(got_state, "s" + name), getattr(want_state, "s" + name))
+        assert_relative(getattr(got_state.sums, name), getattr(want_state.sums, name))
     untouched = [c for c in range(VOCAB_SIZE) if c not in grads.dWe]
     assert got_params.We[:, untouched].tobytes() == params.We[:, untouched].tobytes()
-    assert got_state.sWe[:, untouched].tobytes() == state.sWe[:, untouched].tobytes()
+    assert got_state.sums.We[:, untouched].tobytes() == state.sums.We[:, untouched].tobytes()
     for name in ("dW1", "db1", "dW2", "db2", "dW3", "db3"):
         assert np.array_equal(getattr(grads, name), getattr(grads_before, name))
     assert stacked_dWe(grads).tobytes() == stacked_dWe(grads_before).tobytes()
@@ -276,7 +275,7 @@ def test_overflowing_regularizer_raises_gradients_after_finite_forward():
 def test_train_names_epoch_and_instance_of_nonfinite_gradient():
     hp, params, target = small_case()
     target[0] = np.nan
-    inst = LabeledInstance(7, (2, 3, 4), None, target, Provenance.GOLD)
+    inst = LabeledInstance(7, (2, 3, 4), None, target)
     config = config_from_mapping({"max_epochs": "1"})
     with pytest.raises(NumericError, match=r"epoch 1, instance 7: .*'gradients'"):
         train(config, [inst], params, hp)
