@@ -19,7 +19,6 @@ from .corpus import (
     read_conll,
 )
 from .deppath import PathError, PathMode, format_path_line, instance_path
-from .embeddings import EmbeddingError
 from .infer_eval import macro_f1, predict_corpus, read_predictions, write_predictions
 from .model import load_model, save_model
 from .network import NumericError, grad_check
@@ -31,9 +30,6 @@ from .training import (
     run_training,
     write_history,
 )
-
-_VALIDATION_ERRORS = (CorpusError, ConfigError, EmbeddingError, PathError, ValueError)
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # argparse defaults to exit code 2
@@ -200,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as e:
         print(f"sdprel: no such file: {e.filename}", file=sys.stderr)
         return 1
-    except _VALIDATION_ERRORS as e:
+    except ValueError as e:  # every input error type is a ValueError
         print(f"sdprel: {e}", file=sys.stderr)
         return 1
     except (NumericError, OSError) as e:

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 OTHER = "Other"
 
@@ -29,8 +29,32 @@ SEMEVAL_BASES = (
 )
 
 
-class CorpusError(Exception):
+class CorpusError(ValueError):
     """Malformed corpus file or failed raw/parse alignment."""
+
+
+def parse_lines(
+    path: str | Path,
+    parse: Callable[[str], object],
+    error: type[ValueError] = CorpusError,
+    comments: bool = False,
+) -> list:
+    """Call ``parse`` on each non-blank line of a UTF-8 text file, in order.
+
+    A ValueError from ``parse`` is re-raised as ``error`` naming the file and
+    the 1-based line.  With ``comments``, lines starting with ``#`` (after
+    leading blanks) are skipped too.
+    """
+    out = []
+    for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or (comments and stripped.startswith("#")):
+            continue
+        try:
+            out.append(parse(line))
+        except ValueError as e:
+            raise error(f"{path}: line {n}: {e}") from None
+    return out
 
 
 class Direction(Enum):
@@ -146,13 +170,12 @@ DEFAULT_LABELS = LabelSet(SEMEVAL_BASES)
 
 
 def load_label_set(path: str | Path) -> LabelSet:
-    """Read a label-set file: one base relation name per line, Other implicit."""
-    names = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            names.append(line)
-    return LabelSet(tuple(names))
+    """Read a label-set file: one base relation name per line, # comments,
+    Other implicit; errors name the file."""
+    try:
+        return LabelSet(tuple(parse_lines(path, str.strip, comments=True)))
+    except ValueError as e:
+        raise CorpusError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ ARROW_TO_DEPENDENT = "←"
 _ARROWS = {ARROW_TO_HEAD, ARROW_TO_DEPENDENT}
 
 
-class PathError(Exception):
+class PathError(ValueError):
     """Path extraction failed for an instance."""
 
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
+from .corpus import parse_lines
 from .deppath import NodeKind, NodeSequence
 
 PAD_TOKEN = "<pad>"
@@ -22,7 +23,7 @@ PAD_INDEX = 0
 UNK_INDEX = 1
 
 
-class EmbeddingError(Exception):
+class EmbeddingError(ValueError):
     """Bad pretrained-vector file."""
 
 
@@ -78,29 +79,24 @@ def build_vocab(sequences: Iterable[NodeSequence], min_count: int = 1) -> Vocab:
 
 
 def load_pretrained(path: str | Path, d: int) -> dict[str, np.ndarray]:
-    """Read a pretrained-vector file: token then d numbers per line."""
-    vectors: dict[str, np.ndarray] = {}
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
+    """Read a pretrained-vector file: token then d numbers per line (``#`` is
+    a token, not a comment); a repeated token keeps its last vector."""
+
+    def parse(line: str) -> tuple[str, np.ndarray]:
         parts = line.rstrip().split(" ")
         if len(parts) != d + 1:
-            raise EmbeddingError(
-                f"line {lineno}: expected a token and {d} values, got {len(parts)} fields"
-            )
+            raise ValueError(f"expected a token and {d} values, got {len(parts)} fields")
         try:
-            vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+            return parts[0], np.array([float(x) for x in parts[1:]], dtype=np.float64)
         except ValueError:
-            raise EmbeddingError(f"line {lineno}: non-numeric vector entry") from None
-        vectors[parts[0]] = vec
-    return vectors
+            raise ValueError("non-numeric vector entry") from None
+
+    return dict(parse_lines(path, parse, EmbeddingError))
 
 
 def init_embeddings(
     vocab: Vocab,
-    pretrained: str | Path | Mapping[str, np.ndarray] | None,
+    pretrained: str | Path | None,
     d: int,
     seed: int,
 ) -> tuple[np.ndarray, float]:
@@ -115,19 +111,11 @@ def init_embeddings(
     table = rng.uniform(-0.25, 0.25, size=(d, len(vocab)))
     coverage = 1.0  # nothing to match when no pretrained table is requested
     if pretrained is not None:
-        vectors = (
-            pretrained
-            if isinstance(pretrained, Mapping)
-            else load_pretrained(pretrained, d)
-        )
+        vectors = load_pretrained(pretrained, d)
         matched = 0
         for word in vocab.word_strings:
             vec = vectors.get(word)
             if vec is not None:
-                if len(vec) != d:
-                    raise EmbeddingError(
-                        f"pretrained vector for {word!r} has length {len(vec)}, expected {d}"
-                    )
                 table[:, vocab.lookup(word)] = vec
                 matched += 1
         n_words = len(vocab.word_strings)

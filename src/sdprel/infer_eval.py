@@ -16,12 +16,12 @@ import numpy as np
 
 from .corpus import (
     AlignedInstance,
-    CorpusError,
     DirectedLabel,
     Direction,
     LabelSet,
     OTHER,
     OTHER_LABEL,
+    parse_lines,
 )
 from .deppath import PathError, instance_path, reverse_path, subject_first_path
 from .model import Regime, TrainedModel, class_space_size
@@ -82,27 +82,21 @@ def lexfeat_for(
 def predict_corpus(
     model: TrainedModel,
     instances: Sequence[AlignedInstance],
-    regime: Regime | None = None,
     lexfeats: Mapping[int, np.ndarray] | None = None,
 ) -> tuple[list[Prediction], int]:
-    """Classify every instance under the given evaluation regime.
+    """Classify every instance under the model's regime.
 
-    Instances whose path cannot be extracted are predicted Other with
-    confidence 0; the count of such failures is returned alongside.
+    ``load_model`` and ``run_training`` guarantee that the model's class
+    count fits its regime.  Instances whose path cannot be extracted are
+    predicted Other with confidence 0; the count of such failures is
+    returned alongside.
     """
-    regime = regime or model.regime
-    need_k = class_space_size(regime, model.labels)
-    if model.hp.K != need_k:
-        raise ValueError(
-            f"model has {model.hp.K} classes but regime {regime.value} needs {need_k}"
-        )
-
     predictions: list[Prediction] = []
     failed = 0
     for inst in instances:
         lex = lexfeat_for(inst.raw.id, model.hp.f, lexfeats)
         try:
-            if regime is Regime.SIGHTED:
+            if model.regime is Regime.SIGHTED:
                 seq = subject_first_path(inst.raw, inst.parse, model.mode)
             else:
                 seq = instance_path(inst.raw, inst.parse, model.mode)
@@ -114,11 +108,11 @@ def predict_corpus(
             continue
 
         fwd_probs, _ = forward(model.params, model.hp, model.vocab.indexify(seq), lex)
-        if regime is Regime.BLIND:
+        if model.regime is Regime.BLIND:
             k = int(np.argmax(fwd_probs))
             final = model.labels.all_directed()[k]
             pred = Prediction(inst.raw.id, fwd_probs, None, final, float(fwd_probs[k]))
-        elif regime is Regime.SIGHTED:
+        elif model.regime is Regime.SIGHTED:
             k = int(np.argmax(fwd_probs))
             base = model.labels.all_bases()[k]
             if base == OTHER:
@@ -239,36 +233,22 @@ def macro_f1(
 # ---------------------------------------------------------------------------
 
 
-def write_predictions(
-    predictions: Sequence[Prediction] | Sequence[tuple[int, DirectedLabel]],
-    path: str | Path,
-) -> None:
+def write_predictions(predictions: Sequence[Prediction], path: str | Path) -> None:
     """One ``ID<TAB>label`` line per instance, ascending id."""
-    rows = []
-    for p in predictions:
-        if isinstance(p, Prediction):
-            rows.append((p.id, p.final))
-        else:
-            rows.append((p[0], p[1]))
-    rows.sort(key=lambda r: r[0])
-    text = "".join(f"{i}\t{label}\n" for i, label in rows)
+    rows = sorted(predictions, key=lambda p: p.id)
+    text = "".join(f"{p.id}\t{p.final}\n" for p in rows)
     Path(path).write_text(text, encoding="utf-8")
 
 
 def read_predictions(
     path: str | Path, labels: LabelSet
 ) -> list[tuple[int, DirectedLabel]]:
-    out = []
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
+    """Read ``ID<TAB>label`` lines; errors name the file and line."""
+
+    def parse(line: str) -> tuple[int, DirectedLabel]:
         parts = line.split("\t")
         if len(parts) != 2:
-            raise CorpusError(f"{path}: line {lineno}: expected 'ID<TAB>label'")
-        try:
-            out.append((int(parts[0]), labels.parse(parts[1])))
-        except (ValueError, CorpusError) as e:
-            raise CorpusError(f"{path}: line {lineno}: {e}") from None
-    return out
+            raise ValueError("expected 'ID<TAB>label'")
+        return int(parts[0]), labels.parse(parts[1])
+
+    return parse_lines(path, parse)

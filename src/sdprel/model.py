@@ -72,7 +72,8 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> TrainedModel:
     """Read a model file; a file that is not a model raises a ValueError
-    naming the path and, when a key is missing, the key."""
+    naming the path and, when a key is missing, the key.  So does a class
+    count K that does not fit the file's regime and labels."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as e:  # JSON syntax or text encoding
@@ -89,14 +90,14 @@ def load_model(path: str | Path) -> TrainedModel:
         )
         params.check_shapes(hp)
         vocab = Vocab(tuple(doc["vocab"]["items"]), frozenset(doc["vocab"]["word_strings"]))
-        return TrainedModel(
-            hp=hp,
-            vocab=vocab,
-            labels=LabelSet(tuple(doc["labels"])),
-            mode=PathMode(doc["mode"]),
-            regime=Regime(doc["regime"]),
-            params=params,
-        )
+        labels = LabelSet(tuple(doc["labels"]))
+        regime = Regime(doc["regime"])
+        need_k = class_space_size(regime, labels)
+        if hp.K != need_k:
+            raise ValueError(
+                f"model has {hp.K} classes but regime {regime.value} needs {need_k}"
+            )
+        return TrainedModel(hp, vocab, labels, PathMode(doc["mode"]), regime, params)
     except KeyError as e:
         raise ValueError(f"model file {path}: missing key {e.args[0]!r}") from None
     except (IndexError, TypeError, ValueError) as e:  # wrong types or shapes

@@ -48,14 +48,14 @@ class Hyperparams:
     train_pad: bool = False
 
     def __post_init__(self) -> None:
-        if min(self.d, self.w, self.n1, self.n2, self.K) <= 0:
-            raise ValueError("all layer sizes must be positive")
+        for name in ("d", "w", "n1", "n2", "K"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.w % 2 == 0:
-            raise ValueError(f"window size must be odd, got {self.w}")
-        if self.f < 0:
-            raise ValueError("lexical feature length must be >= 0")
-        if min(self.lambda_we, self.lambda_w1, self.lambda_w2, self.lambda_w3) < 0:
-            raise ValueError("regularization weights must be >= 0")
+            raise ValueError(f"w (window size) must be odd, got {self.w}")
+        for name in ("f", "lambda_we", "lambda_w1", "lambda_w2", "lambda_w3"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     @property
     def d_w(self) -> int:
@@ -246,13 +246,13 @@ def loss(
     target: np.ndarray,
     params: NetworkParams,
     hp: Hyperparams,
-    touched_cols: Sequence[int] | None = None,
+    touched_cols: Sequence[int],
 ) -> float:
     """Cross entropy plus squared-norm regularization of the weight matrices.
 
-    Biases are never regularized.  The embedding penalty is restricted to
-    the columns the example touched when touched_cols is given (the form the
-    per-example gradients optimize); with None the full matrix counts.
+    Biases are never regularized.  The embedding penalty covers only
+    touched_cols, the columns the example touched (``regularized_columns``),
+    which is the per-example objective the gradients of ``backward`` follow.
     """
     ce = -float(np.dot(target, np.log(probs)))
     reg = (
@@ -260,9 +260,7 @@ def loss(
         + hp.lambda_w2 * float(np.vdot(params.W2, params.W2))
         + hp.lambda_w3 * float(np.vdot(params.W3, params.W3))
     )
-    if touched_cols is None:
-        reg += hp.lambda_we * float(np.vdot(params.We, params.We))
-    elif len(touched_cols) > 0:
+    if len(touched_cols) > 0:
         cols = params.We[:, list(touched_cols)]
         reg += hp.lambda_we * float(np.vdot(cols, cols))
     return ce + reg
@@ -417,19 +415,15 @@ def _relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.linalg.norm(analytic - numeric) / denom)
 
 
-def grad_check(
-    seed: int = 0,
-    step: float = 1e-5,
-    tolerance: float = 1e-4,
-    corrupt_block: str | None = None,
-) -> GradCheckReport:
+def grad_check(seed: int = 0) -> GradCheckReport:
     """Compare analytic gradients with central finite differences.
 
     Runs every built-in configuration (covering t=1 full-padding paths,
-    lexical features, multi-label targets, and a trainable pad column).
-    corrupt_block is a test hook that perturbs one analytic block so the
-    report must flag it.
+    lexical features, multi-label targets, and a trainable pad column) with
+    a central-difference step of 1e-5; a block fails above a relative error
+    of 1e-4.
     """
+    step, tolerance = 1e-5, 1e-4
     rng = np.random.default_rng(seed)
     errors: dict[str, float] = {name: 0.0 for name in BLOCKS}
 
@@ -443,8 +437,6 @@ def grad_check(
 
         _, cache = forward(params, hp, indices, lexfeat)
         grads = backward(cache, target, params, hp)
-        if corrupt_block is not None:
-            _corrupt(grads, corrupt_block, rng)
 
         for name in DENSE_BLOCKS:
             analytic = getattr(grads, "d" + name)
@@ -458,11 +450,3 @@ def grad_check(
 
     return GradCheckReport(errors, tolerance, len(_CHECK_CONFIGS))
 
-
-def _corrupt(grads: Gradients, block: str, rng: np.random.Generator) -> None:
-    if block == "We":
-        for g in grads.dWe.values():
-            g += rng.normal(scale=0.05, size=g.shape) + 0.05
-        return
-    target = getattr(grads, "d" + block)
-    target += rng.normal(scale=0.05, size=target.shape) + 0.05

@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence, get_args, get_type_hints
 
 import numpy as np
 
-from .corpus import AlignedInstance, DirectedLabel, LabelSet, OTHER_LABEL
+from .corpus import AlignedInstance, DirectedLabel, LabelSet, OTHER_LABEL, parse_lines
 from .deppath import (
     NodeSequence,
     PathError,
@@ -56,7 +56,7 @@ class Provenance(Enum):
     NEG_POOL = "neg-pool"
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Invalid training configuration."""
 
 
@@ -106,6 +106,7 @@ class TrainConfig:
             )
         if (self.negatives is NegativeScheme.POOL) != (self.pool_path is not None):
             raise ConfigError("pool_path must be set exactly when negatives=pool")
+        self.hyperparams(K=1, f=0)  # bad sizes or weights fail before any corpus is read
 
     def hyperparams(self, K: int, f: int) -> Hyperparams:
         return Hyperparams(
@@ -117,18 +118,14 @@ class TrainConfig:
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Read ``key = value`` lines; blank lines and # comments are skipped."""
-    values: dict[str, str] = {}
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
-        key, _, value = stripped.partition("=")
-        values[key.strip()] = value.strip()
-    return values
+
+    def parse(line: str) -> tuple[str, str]:
+        if "=" not in line:
+            raise ValueError("expected 'key = value'")
+        key, _, value = line.partition("=")
+        return key.strip(), value.strip()
+
+    return dict(parse_lines(path, parse, ConfigError, comments=True))
 
 
 def config_from_mapping(values: Mapping[str, str]) -> TrainConfig:
@@ -239,41 +236,30 @@ def build_path_instances(
 
 def read_pool_file(path: str | Path, mode: PathMode) -> list[tuple[int, NodeSequence]]:
     """Read pre-encoded negative paths (extract-paths output format)."""
-    out = []
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return parse_lines(path, lambda line: parse_path_line(line, mode), ConfigError)
     except OSError as e:
         raise ConfigError(f"cannot read negative pool file {path}: {e}") from None
-    for line in text.splitlines():
-        if line.strip():
-            out.append(parse_path_line(line, mode))
-    return out
 
 
 def read_lex_features(path: str | Path) -> dict[int, np.ndarray]:
-    """Read per-instance feature vectors: ``ID<TAB>v1 v2 ...`` lines."""
+    """Read ``ID<TAB>v1 v2 ...`` lines: one equal-length vector per instance ID."""
     feats: dict[int, np.ndarray] = {}
-    length: int | None = None
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
+
+    def add(line: str) -> None:
         try:
             id_part, rest = line.split("\t", 1)
             inst_id = int(id_part)
             vec = np.array([float(x) for x in rest.split()], dtype=np.float64)
         except ValueError:
-            raise ConfigError(
-                f"{path}: line {lineno}: expected 'ID<TAB>v1 v2 ...' lexical features"
-            ) from None
-        if length is None:
-            length = len(vec)
-        elif len(vec) != length:
-            raise ConfigError(
-                f"{path}: line {lineno}: lexical feature length {len(vec)} != {length}"
-            )
+            raise ValueError("expected 'ID<TAB>v1 v2 ...' lexical features") from None
+        if feats and len(vec) != (length := _lexfeat_length(feats)):
+            raise ValueError(f"lexical feature length {len(vec)} != {length}")
+        if inst_id in feats:
+            raise ValueError(f"duplicate instance id {inst_id}")
         feats[inst_id] = vec
+
+    parse_lines(path, add, ConfigError)
     return feats
 
 
@@ -494,7 +480,7 @@ def run_training(
 
         def dev_evaluator(current: NetworkParams) -> float:
             snapshot = replace(model, params=current)
-            preds, _ = predict_corpus(snapshot, dev_instances, config.regime, lexfeats)
+            preds, _ = predict_corpus(snapshot, dev_instances, lexfeats)
             return macro_f1(dev_gold, [p.final for p in preds], labels).macro_f1
 
     best, history = train(config, train_set, params, hp, dev_evaluator)

@@ -102,6 +102,7 @@ def test_train_input_errors_name_the_file_and_line(files, tmp_path, capsys, whic
 @pytest.mark.parametrize("text, expected", [
     ("1\t0.5 0.25\nx7\t1.0 2.0\n", "line 2: expected 'ID<TAB>v1 v2 ...'"),
     ("1\t0.5 0.25\n2\t1.0\n", "line 2: lexical feature length 1 != 2"),
+    ("1\t0.5 0.25\n1\t0.7 0.1\n", "line 2: duplicate instance id 1"),
 ])
 def test_lexical_feature_errors_name_the_file_and_line(files, tmp_path, capsys, text, expected):
     lex = tmp_path / "lex.txt"
@@ -124,3 +125,30 @@ def test_score_prediction_errors_name_the_file_and_line(files, tmp_path, capsys,
                  "--labels", str(files["labels"])])
     assert code == 1
     assert f"{pred}: {expected}" in capsys.readouterr().err
+
+
+def test_pool_file_errors_name_the_file_and_line(files, tmp_path, capsys):
+    pool = tmp_path / "pool.paths"
+    pool.write_text("7\tsinger ← nsubj caused\n1\tnot a path\n", encoding="utf-8")
+    code = train(files, tmp_path / "model.json",
+                 "--set", "negatives=pool", "--set", f"pool_path={pool}")
+    assert code == 1
+    assert f"{pool}: line 2: malformed path line" in capsys.readouterr().err
+
+
+def test_pretrained_vector_errors_name_the_file_and_line(files, tmp_path, capsys):
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("# " + " ".join(["0.5"] * 8) + "\nsinger 0.1 0.2\n", encoding="utf-8")
+    assert train(files, tmp_path / "model.json", "--set", f"embeddings_path={vectors}") == 1
+    expected = f"{vectors}: line 2: expected a token and 8 values, got 3 fields"
+    assert expected in capsys.readouterr().err
+
+
+def test_repeated_label_names_name_the_label_file(files, tmp_path, capsys):
+    gold = tmp_path / "gold.txt"
+    gold.write_text("1\tOther\n", encoding="utf-8")
+    labels = tmp_path / "repeated-labels.txt"
+    labels.write_text("# relations\nRelA\nRelB\nRelA\n", encoding="utf-8")
+    code = main(["score", "--gold", str(gold), "--pred", str(gold), "--labels", str(labels)])
+    assert code == 1
+    assert f"{labels}: duplicate base relation names" in capsys.readouterr().err

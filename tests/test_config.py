@@ -1,8 +1,9 @@
 """Configuration parsing: bad values name their key, and the CLI exits with 1."""
 
-import pytest
-
 import dataclasses
+import re
+
+import pytest
 
 from sdprel.cli import main
 from sdprel.model import Regime
@@ -26,19 +27,40 @@ def test_bad_value_names_key_value_and_allowed(key, value, expected):
         assert fragment in str(info.value)
 
 
-@pytest.mark.parametrize("key, value, expected", BAD_VALUES)
-def test_cli_exits_1_with_the_key_in_the_message(tmp_path, capsys, key, value, expected):
+def train_on_absent_corpora(tmp_path, config_text):
+    """``sdprel train`` with this config file and corpus paths that do not exist."""
     config = tmp_path / "train.cfg"
-    config.write_text(f"{key} = {value}\n", encoding="utf-8")
+    config.write_text(config_text, encoding="utf-8")
     missing = str(tmp_path / "absent")
-    code = main([
+    return main([
         "train", "--config", str(config), "--train-sem", missing, "--train-conll", missing,
         "--dev-sem", missing, "--dev-conll", missing, "--out", str(tmp_path / "m.json"),
     ])
+
+
+@pytest.mark.parametrize("key, value, expected", BAD_VALUES)
+def test_cli_exits_1_with_the_key_in_the_message(tmp_path, capsys, key, value, expected):
+    code = train_on_absent_corpora(tmp_path, f"{key} = {value}\n")
     assert code == 1
     err = capsys.readouterr().err
     for fragment in expected:
         assert fragment in err
+
+
+@pytest.mark.parametrize("key, value, expected", [
+    ("d", "0", "sdprel: d must be positive, got 0"),
+    ("n1", "-3", "sdprel: n1 must be positive, got -3"),
+    ("w", "4", "sdprel: w (window size) must be odd, got 4"),
+    ("lambda_w1", "-0.5", "sdprel: lambda_w1 must be >= 0, got -0.5"),
+])
+def test_bad_network_size_or_weight_names_the_key_before_any_corpus_is_read(
+    tmp_path, capsys, key, value, expected
+):
+    with pytest.raises(ConfigError, match=re.escape(expected.removeprefix("sdprel: "))):
+        config_from_mapping({key: value})
+    # The corpora do not exist: the message shows the config was checked first.
+    assert train_on_absent_corpora(tmp_path, f"{key} = {value}\n") == 1
+    assert expected in capsys.readouterr().err
 
 
 def test_good_values_parse():

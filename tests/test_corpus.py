@@ -1,5 +1,7 @@
 """Corpus ingestion: annotated-sentence parsing, CoNLL reading, alignment."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from sdprel.corpus import (
     align,
     align_corpus,
     load_label_set,
+    parse_lines,
     parse_semeval_file,
     read_conll,
     tokenize,
@@ -81,6 +84,25 @@ class TestLabelCodec:
         path = tmp_path / "labels.txt"
         path.write_text("RelA\nRelB\n")
         assert load_label_set(path) == LabelSet(("RelA", "RelB"))
+
+
+class TestParseLines:
+    def test_blank_lines_skipped_and_comments_only_when_asked(self, tmp_path):
+        path = tmp_path / "lines.txt"
+        path.write_text("a\n\n  \n # b\nc\n")
+        assert parse_lines(path, str.strip) == ["a", "# b", "c"]
+        assert parse_lines(path, str.strip, comments=True) == ["a", "c"]
+
+    def test_value_error_names_file_and_line_in_the_given_type(self, tmp_path):
+        class Custom(ValueError):
+            pass
+
+        path = tmp_path / "lines.txt"
+        path.write_text("1\n\n2\nx\n")
+        with pytest.raises(CorpusError, match="^" + re.escape(f"{path}: line 4: invalid literal")):
+            parse_lines(path, int)
+        with pytest.raises(Custom, match="line 4"):
+            parse_lines(path, int, Custom)
 
 
 class TestSemevalParsing:

@@ -1,22 +1,26 @@
 """Dual-direction label combination, corpus prediction, and macro-F1 scoring."""
 
+import json
+
 import numpy as np
 import pytest
 
 import sdprel.infer_eval as infer_eval
+from sdprel.cli import main
 from sdprel.corpus import Direction, DirectedLabel, LabelSet, OTHER_LABEL
 from sdprel.deppath import PathError, PathMode, instance_path, subject_first_path
 from sdprel.embeddings import build_vocab, init_embeddings
 from sdprel.infer_eval import (
+    Prediction,
     combine,
     macro_f1,
     predict_corpus,
     read_predictions,
     write_predictions,
 )
-from sdprel.model import Regime, TrainedModel
+from sdprel.model import Regime, TrainedModel, load_model, save_model
 from sdprel.network import Hyperparams, forward, init_network_params
-from synth import SYNTH_LABELS, aligned_corpus
+from synth import SYNTH_LABELS, aligned_corpus, write_corpus
 
 L3 = LabelSet(("Cause-Effect", "Component-Whole", "Content-Container"))
 
@@ -191,11 +195,23 @@ class TestPredictCorpus:
             if not p.final.is_other and not inst.raw.label.is_other:
                 assert p.final.direction is inst.raw.label.direction
 
-    def test_regime_class_count_mismatch(self):
+    def test_regime_class_count_mismatch(self, tmp_path, capsys):
         instances = aligned_corpus(4, seed=9)
-        model = tiny_model(Regime.SIGHTED_NS, instances=instances)
-        with pytest.raises(ValueError, match="classes"):
-            predict_corpus(model, instances, regime=Regime.BLIND)
+        path = tmp_path / "model.json"
+        save_model(tiny_model(Regime.SIGHTED_NS, instances=instances), path)
+        doc = json.loads(path.read_text())
+        doc["regime"] = Regime.BLIND.value  # K stays R+1; blind needs 2R+1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"model file {path}: .*classes"):
+            load_model(path)
+
+        sem, conll = write_corpus(
+            tmp_path, "test", [i.raw for i in instances], [i.parse for i in instances]
+        )
+        argv = ["predict", "--model", str(path), "--sem", str(sem), "--conll", str(conll),
+                "--out", str(tmp_path / "pred.txt")]
+        assert main(argv) == 1
+        assert f"model file {path}: model has" in capsys.readouterr().err
 
     def test_extraction_failure_falls_back_to_other(self, monkeypatch):
         instances = aligned_corpus(3, seed=10)
@@ -227,14 +243,18 @@ class TestPredictCorpus:
                 assert b.final.direction is not a.final.direction
 
 
+def prediction(inst_id, label):
+    return Prediction(inst_id, None, None, label, 1.0)
+
+
 class TestPredictionFiles:
     def test_other_line_format_and_ordering(self, tmp_path):
         path = tmp_path / "pred.tsv"
-        write_predictions([(43, CE21), (42, OTHER_LABEL)], path)
+        write_predictions([prediction(43, CE21), prediction(42, OTHER_LABEL)], path)
         assert path.read_text() == "42\tOther\n43\tCause-Effect(e2,e1)\n"
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "pred.tsv"
         rows = [(1, CE12), (2, OTHER_LABEL), (3, CW21)]
-        write_predictions(rows, path)
+        write_predictions([prediction(i, label) for i, label in rows], path)
         assert read_predictions(path, L3) == rows

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import sdprel.network as network
 from sdprel.embeddings import PAD_INDEX
 from sdprel.network import (
     BLOCKS,
@@ -150,7 +151,7 @@ class TestLoss:
         probs = np.full(10, 0.1)
         target = np.zeros(10)
         target[3] = 1.0
-        got = loss(probs, target, zero_params(hp), hp)
+        got = loss(probs, target, zero_params(hp), hp, ())
         assert abs(got - math.log(10)) < 1e-12
 
     def test_matching_distribution_minimizes_cross_entropy(self):
@@ -160,18 +161,18 @@ class TestLoss:
         rng = np.random.default_rng(7)
         target = rng.uniform(0.05, 1.0, size=5)
         target /= target.sum()
-        at_target = loss(target, target, params, hp)
+        at_target = loss(target, target, params, hp, ())
         for _ in range(20):
             q = rng.uniform(0.01, 1.0, size=5)
             q /= q.sum()
-            assert loss(q, target, params, hp) >= at_target
+            assert loss(q, target, params, hp, ()) >= at_target
 
     def test_regularization_contribution(self):
         hp = Hyperparams(d=2, w=1, n1=2, n2=2, K=1,
                          lambda_we=0, lambda_w1=1.0, lambda_w2=0, lambda_w3=0)
         params = zero_params(hp)
         params.W1 = np.eye(2)
-        got = loss(np.array([1.0]), np.array([1.0]), params, hp)
+        got = loss(np.array([1.0]), np.array([1.0]), params, hp, ())
         assert got == 2.0  # cross entropy is zero; ||I||_F^2 = 2
 
     def test_touched_columns_restrict_embedding_penalty(self):
@@ -180,8 +181,8 @@ class TestLoss:
         params = zero_params(hp, vocab_size=4)
         params.We = np.ones((2, 4))
         probs, target = np.array([1.0]), np.array([1.0])
-        assert loss(probs, target, params, hp) == 8.0
-        assert loss(probs, target, params, hp, touched_cols=[2]) == 2.0
+        assert loss(probs, target, params, hp, regularized_columns([2], hp)) == 2.0
+        assert loss(probs, target, params, hp, ()) == 0.0
 
 
 class TestBackward:
@@ -231,8 +232,16 @@ class TestGradCheck:
         assert report.n_configs >= 5
         assert set(report.block_errors) == {"We", "W1", "b1", "W2", "b2", "W3", "b3"}
 
-    def test_corrupted_block_is_flagged(self):
-        report = grad_check(seed=1, corrupt_block="W2")
+    def test_corrupted_block_is_flagged(self, monkeypatch):
+        exact = network.backward
+
+        def corrupted(*args):
+            grads = exact(*args)
+            grads.dW2 += 0.05
+            return grads
+
+        monkeypatch.setattr(network, "backward", corrupted)
+        report = grad_check(seed=1)
         assert not report.passed
         assert report.failing_blocks == ["W2"]
 
