@@ -25,7 +25,7 @@ from .corpus import (
 )
 from .deppath import PathError, instance_path, reverse_path, subject_first_path
 from .model import Regime, TrainedModel, class_space_size
-from .network import forward
+from .network import ConvTable, forward
 
 
 @dataclass
@@ -79,6 +79,31 @@ def lexfeat_for(
     return np.zeros(f)
 
 
+#: Instances per projection table in ``predict_corpus``.  The table takes
+#: ``w · U · n1 · 8`` bytes for the chunk's U distinct ids, whatever the
+#: vocabulary size: on 20-30 token sentences a chunk holds about 110 ids
+#: (at most 127 seen), about 0.5 MB at the paper's sizes.
+PREDICT_CHUNK = 64
+
+
+def _indexed_paths(
+    model: TrainedModel, inst: AlignedInstance
+) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """The instance's path as an index array, and for sighted-ns its reverse;
+    None when the path cannot be extracted."""
+    try:
+        if model.regime is Regime.SIGHTED:
+            seq = subject_first_path(inst.raw, inst.parse, model.mode)
+        else:
+            seq = instance_path(inst.raw, inst.parse, model.mode)
+    except PathError:
+        return None
+    fwd = np.array(model.vocab.indexify(seq), dtype=np.intp)
+    if model.regime is not Regime.SIGHTED_NS:
+        return fwd, None
+    return fwd, np.array(model.vocab.indexify(reverse_path(seq)), dtype=np.intp)
+
+
 def predict_corpus(
     model: TrainedModel,
     instances: Sequence[AlignedInstance],
@@ -90,48 +115,71 @@ def predict_corpus(
     count fits its regime.  Instances whose path cannot be extracted are
     predicted Other with confidence 0; the count of such failures is
     returned alongside.
+
+    The instances are classified in chunks of PREDICT_CHUNK.  A first pass
+    extracts each instance's path once and keeps only its index arrays; a
+    ``ConvTable`` over the chunk's distinct ids then serves every forward
+    pass of the chunk, so the table's memory is bounded by the chunk, not
+    by the vocabulary.  The probabilities match the matmul ``forward`` to
+    within 1e-12 (in practice about 1e-16), not bit for bit.
     """
     predictions: list[Prediction] = []
-    failed = 0
-    for inst in instances:
-        lex = lexfeat_for(inst.raw.id, model.hp.f, lexfeats)
-        try:
-            if model.regime is Regime.SIGHTED:
-                seq = subject_first_path(inst.raw, inst.parse, model.mode)
-            else:
-                seq = instance_path(inst.raw, inst.parse, model.mode)
-        except PathError:
-            failed += 1
-            predictions.append(
-                Prediction(inst.raw.id, None, None, OTHER_LABEL, 0.0, failed=True)
-            )
-            continue
+    for start in range(0, len(instances), PREDICT_CHUNK):
+        predictions += _predict_chunk(model, instances[start : start + PREDICT_CHUNK], lexfeats)
+    return predictions, sum(p.failed for p in predictions)
 
-        fwd_probs, _ = forward(model.params, model.hp, model.vocab.indexify(seq), lex)
-        if model.regime is Regime.BLIND:
-            k = int(np.argmax(fwd_probs))
-            final = model.labels.all_directed()[k]
-            pred = Prediction(inst.raw.id, fwd_probs, None, final, float(fwd_probs[k]))
-        elif model.regime is Regime.SIGHTED:
-            k = int(np.argmax(fwd_probs))
-            base = model.labels.all_bases()[k]
-            if base == OTHER:
-                final = OTHER_LABEL
-            else:
-                direction = (
-                    inst.raw.label.direction
-                    if not inst.raw.label.is_other
-                    else Direction.E1_TO_E2
-                )
-                final = DirectedLabel(base, direction)
-            pred = Prediction(inst.raw.id, fwd_probs, None, final, float(fwd_probs[k]))
+
+def _predict_chunk(
+    model: TrainedModel,
+    chunk: Sequence[AlignedInstance],
+    lexfeats: Mapping[int, np.ndarray] | None,
+) -> list[Prediction]:
+    """Predict one chunk through one projection table.
+
+    The table is freed on return, so only one is alive at a time.
+    """
+    paths = [_indexed_paths(model, inst) for inst in chunk]
+    ids = [a for p in paths if p is not None for a in p if a is not None]
+    table = ConvTable(model.params, model.hp, np.concatenate(ids) if ids else ())
+    return [
+        Prediction(inst.raw.id, None, None, OTHER_LABEL, 0.0, failed=True)
+        if path is None
+        else _predict(model, inst, *path, lexfeats, table)
+        for inst, path in zip(chunk, paths)
+    ]
+
+
+def _predict(
+    model: TrainedModel,
+    inst: AlignedInstance,
+    fwd: np.ndarray,
+    rev: np.ndarray | None,
+    lexfeats: Mapping[int, np.ndarray] | None,
+    table: ConvTable,
+) -> Prediction:
+    """One instance's prediction from its indexed path(s)."""
+    lex = lexfeat_for(inst.raw.id, model.hp.f, lexfeats)
+    fwd_probs, _ = forward(model.params, model.hp, fwd, lex, table)
+    if model.regime is Regime.BLIND:
+        k = int(np.argmax(fwd_probs))
+        final = model.labels.all_directed()[k]
+        return Prediction(inst.raw.id, fwd_probs, None, final, float(fwd_probs[k]))
+    if model.regime is Regime.SIGHTED:
+        k = int(np.argmax(fwd_probs))
+        base = model.labels.all_bases()[k]
+        if base == OTHER:
+            final = OTHER_LABEL
         else:
-            rev = reverse_path(seq)
-            rev_probs, _ = forward(model.params, model.hp, model.vocab.indexify(rev), lex)
-            final, conf = combine(fwd_probs, rev_probs, model.labels)
-            pred = Prediction(inst.raw.id, fwd_probs, rev_probs, final, conf)
-        predictions.append(pred)
-    return predictions, failed
+            direction = (
+                inst.raw.label.direction
+                if not inst.raw.label.is_other
+                else Direction.E1_TO_E2
+            )
+            final = DirectedLabel(base, direction)
+        return Prediction(inst.raw.id, fwd_probs, None, final, float(fwd_probs[k]))
+    rev_probs, _ = forward(model.params, model.hp, rev, lex, table)
+    final, conf = combine(fwd_probs, rev_probs, model.labels)
+    return Prediction(inst.raw.id, fwd_probs, rev_probs, final, conf)
 
 
 # ---------------------------------------------------------------------------

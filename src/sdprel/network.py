@@ -10,6 +10,17 @@ index into a C-contiguous window matrix, max-pool backward is a one-hot
 matmul, and the embedding gradient is a one-hot sum over the window ids.
 Finite-value checks run on sums; the per-layer ``_check_finite`` calls that
 name the failing layer run only when a sum is not finite.
+
+Inference can skip the window matrix.  The convolution is linear in the
+embeddings, so with ``P_b = W1[:, b·d:(b+1)·d] @ We`` (one projection per
+window slot b) column j of the convolution is
+``Z[:, j] = Σ_b P_b[:, id(j, b)] + b1``.  A ``ConvTable`` holds the rows of
+every ``P_b`` for a fixed set of ids, built once for fixed parameters, and
+``forward(..., table=...)`` then reads w rows of n1 values per position
+instead of gathering windows and multiplying by W1.  Its probabilities
+match the matmul path to about 1e-16 (tests hold them to 1e-12), not bit
+for bit, because the sum over the d·w window entries is split per slot.
+A table-built cache has no window matrix, so ``backward`` rejects it.
 """
 
 from __future__ import annotations
@@ -132,14 +143,12 @@ class ForwardCache:
     """Intermediate values forward saves for the backward pass."""
 
     indices: tuple[int, ...]
-    X: np.ndarray          # d*w x t window matrix, C-contiguous
+    X: np.ndarray | None   # d*w x t window matrix, C-contiguous; None from a table
     Z: np.ndarray          # n1 x t convolution output
     argmax: np.ndarray     # n1, pooled column index per filter
     pooled: np.ndarray     # n1
     hidden: np.ndarray     # n2, tanh output
     combined: np.ndarray   # n2 + f, hidden with lexical features appended
-    lexfeat: np.ndarray | None
-    scores: np.ndarray     # K
     probs: np.ndarray      # K
 
 
@@ -179,9 +188,58 @@ def window_concat(indices: Sequence[int], We: np.ndarray, w: int) -> np.ndarray:
     return np.ascontiguousarray(We.T[ids].reshape(len(ids), -1).T)
 
 
+class ConvTable:
+    """The convolution's slot projections for a fixed set of vocabulary ids.
+
+    Slot table b is the C-contiguous U x n1 matrix
+    ``We[:, ids].T @ W1[:, b·d:(b+1)·d].T``, one row per distinct id of
+    ``ids`` (vocabulary ids, sorted, with PAD_INDEX added), so it is
+    ``P_b`` restricted to those ids.  It is valid only for the parameters
+    it was built from, and costs ``w · U · n1 · 8`` bytes.
+    """
+
+    def __init__(self, params: NetworkParams, hp: Hyperparams, ids: Sequence[int]) -> None:
+        # A vocabulary mask gives the sorted distinct ids without a sort,
+        # whose first use (np.union1d) raised peak RSS by about 0.7 MB.
+        present = np.zeros(params.We.shape[1], dtype=bool)
+        present[np.asarray(ids, dtype=np.intp)] = True
+        present[PAD_INDEX] = True
+        self.ids = np.flatnonzero(present)
+        self.pad_row = int(np.searchsorted(self.ids, PAD_INDEX))
+        embedded = params.We[:, self.ids].T
+        d = hp.d
+        self.slots = tuple(embedded @ params.W1[:, b * d : (b + 1) * d].T for b in range(hp.w))
+
+    def convolve(self, indices: Sequence[int], b1: np.ndarray) -> np.ndarray:
+        """The t x n1 transposed convolution output of one indexed path.
+
+        Raises ValueError for an index the table does not hold.
+        """
+        indices = np.asarray(indices)
+        t = len(indices)
+        if t < 1:
+            raise ValueError("empty index sequence")
+        rows = np.searchsorted(self.ids, indices)
+        missing = self.ids.take(rows, mode="clip") != indices
+        if missing.any():
+            raise ValueError(f"index {indices[missing][0]} is not in the projection table")
+        w = len(self.slots)
+        half = (w - 1) // 2
+        padded = np.full(t + w - 1, self.pad_row, dtype=np.intp)
+        padded[half : half + t] = rows
+        # Position j reads slot b's row of the id at window offset b, padded[j + b].
+        ZT = self.slots[0].take(padded[:t], axis=0)
+        for b in range(1, w):
+            ZT += self.slots[b].take(padded[b : b + t], axis=0)
+        ZT += b1
+        return ZT
+
+
 def softmax(scores: np.ndarray) -> np.ndarray:
-    e = np.exp(scores - np.max(scores))
-    return e / np.sum(e)
+    # Array methods: the np.max/np.sum wrappers cost more than the work on K values.
+    e = np.exp(scores - scores.max())
+    e /= e.sum()
+    return e
 
 
 def _check_finite(value: np.ndarray, layer: str) -> None:
@@ -194,8 +252,15 @@ def forward(
     hp: Hyperparams,
     indices: Sequence[int],
     lexfeat: np.ndarray | None = None,
+    table: ConvTable | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the network on one indexed path, returning class probabilities.
+
+    With a ``table`` built from these parameters, the convolution reads the
+    table's slot projections instead of gathering the window matrix, and
+    the cache it returns has ``X = None``; an index the table does not hold
+    raises ValueError.  Max pooling keeps the lowest position on ties either
+    way, and every layer after it is the same code.
 
     Raises NumericError naming the first non-finite layer ('convolution',
     'hidden' or 'scores') exactly when the per-layer checks would.  The
@@ -209,10 +274,16 @@ def forward(
     if lexfeat is not None and lexfeat.shape != (hp.f,):
         raise ValueError(f"lexical feature shape {lexfeat.shape}, expected ({hp.f},)")
 
-    X = window_concat(indices, params.We, hp.w)
-    Z = params.W1 @ X
-    Z += params.b1[:, None]
-    argmax = np.argmax(Z, axis=1)  # ties resolve to the lowest column
+    if table is None:
+        X = window_concat(indices, params.We, hp.w)
+        Z = params.W1 @ X
+        Z += params.b1[:, None]
+        argmax = np.argmax(Z, axis=1)  # ties resolve to the lowest column
+    else:
+        X = None
+        ZT = table.convolve(indices, params.b1)
+        argmax = ZT.argmax(axis=0)  # ties resolve to the lowest position
+        Z = ZT.T
     pooled = Z[np.arange(hp.n1), argmax]
     hidden = np.tanh(params.W2 @ pooled + params.b2)
     combined = hidden if lexfeat is None else np.concatenate([hidden, lexfeat])
@@ -221,9 +292,7 @@ def forward(
         for value, layer in ((Z, "convolution"), (hidden, "hidden"), (scores, "scores")):
             _check_finite(value, layer)
     probs = softmax(scores)
-    cache = ForwardCache(
-        tuple(indices), X, Z, argmax, pooled, hidden, combined, lexfeat, scores, probs
-    )
+    cache = ForwardCache(tuple(indices), X, Z, argmax, pooled, hidden, combined, probs)
     return probs, cache
 
 
@@ -286,6 +355,8 @@ def backward(
     calls.
     """
     params.check_shapes(hp)
+    if cache.X is None:
+        raise ValueError("forward cache comes from a projection table: no window matrix")
     if cache.probs.shape != (hp.K,) or cache.Z.shape[0] != hp.n1:
         raise ValueError("forward cache does not match these hyperparameters")
     if cache.X.shape != (hp.d_w, len(cache.indices)):

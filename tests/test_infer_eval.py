@@ -1,5 +1,6 @@
 """Dual-direction label combination, corpus prediction, and macro-F1 scoring."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -8,7 +9,13 @@ import pytest
 import sdprel.infer_eval as infer_eval
 from sdprel.cli import main
 from sdprel.corpus import Direction, DirectedLabel, LabelSet, OTHER_LABEL
-from sdprel.deppath import PathError, PathMode, instance_path, subject_first_path
+from sdprel.deppath import (
+    PathError,
+    PathMode,
+    instance_path,
+    reverse_path,
+    subject_first_path,
+)
 from sdprel.embeddings import build_vocab, init_embeddings
 from sdprel.infer_eval import (
     Prediction,
@@ -191,7 +198,8 @@ class TestPredictCorpus:
         for inst, p in zip(instances, preds):
             seq = subject_first_path(inst.raw, inst.parse, model.mode)
             probs, _ = forward(model.params, model.hp, model.vocab.indexify(seq))
-            assert np.array_equal(p.fwd_probs, probs)
+            assert np.allclose(p.fwd_probs, probs, rtol=0, atol=1e-12)
+            assert p.final.base == model.labels.all_bases()[int(np.argmax(probs))]
             if not p.final.is_other and not inst.raw.label.is_other:
                 assert p.final.direction is inst.raw.label.direction
 
@@ -241,6 +249,91 @@ class TestPredictCorpus:
             assert a.final.base == b.final.base
             if not a.final.is_other:
                 assert b.final.direction is not a.final.direction
+
+
+def matmul_reference(model, instances, fail_ids):
+    """Per-instance predictions through the matmul forward, one instance at a time."""
+    preds = []
+    for inst in instances:
+        if inst.raw.id in fail_ids:
+            preds.append(Prediction(inst.raw.id, None, None, OTHER_LABEL, 0.0, failed=True))
+            continue
+        path_of = subject_first_path if model.regime is Regime.SIGHTED else instance_path
+        seq = path_of(inst.raw, inst.parse, model.mode)
+        fwd, _ = forward(model.params, model.hp, model.vocab.indexify(seq))
+        k = int(np.argmax(fwd))
+        if model.regime is Regime.BLIND:
+            final = SYNTH_LABELS.all_directed()[k]
+            preds.append(Prediction(inst.raw.id, fwd, None, final, fwd[k]))
+        elif model.regime is Regime.SIGHTED:
+            base = SYNTH_LABELS.all_bases()[k]
+            gold = inst.raw.label
+            direction = Direction.E1_TO_E2 if gold.is_other else gold.direction
+            final = OTHER_LABEL if base == OTHER_LABEL.base else DirectedLabel(base, direction)
+            preds.append(Prediction(inst.raw.id, fwd, None, final, fwd[k]))
+        else:
+            rev, _ = forward(model.params, model.hp, model.vocab.indexify(reverse_path(seq)))
+            preds.append(Prediction(inst.raw.id, fwd, rev, *combine(fwd, rev, SYNTH_LABELS)))
+    return preds
+
+
+def close_or_both_none(a, b):
+    return (a is None and b is None) or np.max(np.abs(a - b)) <= 1e-12
+
+
+CHUNK = infer_eval.PREDICT_CHUNK
+FAIL_PATTERNS = {
+    "none": lambda n: set(),
+    "chunk boundaries": lambda n: {0, CHUNK - 1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK, n - 1},
+    "a whole chunk": lambda n: set(range(CHUNK, 2 * CHUNK)),
+    "every instance": lambda n: set(range(n)),
+}
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("pattern", FAIL_PATTERNS)
+def test_chunked_predictions_match_the_matmul_reference(monkeypatch, regime, pattern):
+    instances = aligned_corpus(2 * CHUNK + 17, seed=12)
+    model = tiny_model(regime, instances=instances)
+    fail_ids = {instances[i].raw.id for i in FAIL_PATTERNS[pattern](len(instances))}
+    want = matmul_reference(model, instances, fail_ids)
+
+    def failing(path_of):
+        def extract(raw, parse, mode):
+            if raw.id in fail_ids:
+                raise PathError("forced")
+            return path_of(raw, parse, mode)
+        return extract
+
+    monkeypatch.setattr(infer_eval, "instance_path", failing(instance_path))
+    monkeypatch.setattr(infer_eval, "subject_first_path", failing(subject_first_path))
+    got, failed = predict_corpus(model, instances)
+
+    assert failed == len(fail_ids)
+    assert_matches_reference(got, want, instances)
+
+
+def test_ids_only_the_reverse_path_holds_are_in_the_table():
+    # With e2 on the verb, every forward arrow points to the head, so each
+    # reversed path holds the other arrow, which the vocabulary maps to <unk>.
+    instances = [
+        type(inst)(dataclasses.replace(inst.raw, e2_span=(2, 2)), inst.parse)
+        for inst in aligned_corpus(10, seed=13)
+    ]
+    model = tiny_model(Regime.SIGHTED_NS, instances=instances)
+    got, failed = predict_corpus(model, instances)
+    assert failed == 0
+    assert_matches_reference(got, matmul_reference(model, instances, set()), instances)
+
+
+def assert_matches_reference(got, want, instances):
+    assert [p.id for p in got] == [p.id for p in want] == [i.raw.id for i in instances]
+    assert [p.final for p in got] == [p.final for p in want]
+    assert [p.failed for p in got] == [p.failed for p in want]
+    for g, w in zip(got, want):
+        assert close_or_both_none(g.fwd_probs, w.fwd_probs)
+        assert close_or_both_none(g.rev_probs, w.rev_probs)
+        assert abs(g.confidence - w.confidence) <= 1e-12
 
 
 def prediction(inst_id, label):

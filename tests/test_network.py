@@ -11,6 +11,7 @@ from sdprel.embeddings import PAD_INDEX
 from sdprel.network import (
     BLOCKS,
     DENSE_BLOCKS,
+    ConvTable,
     GradCheckReport,
     Hyperparams,
     NetworkParams,
@@ -127,6 +128,77 @@ class TestForward:
         params.W1[0, 0] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="convolution"):
             forward(params, hp, [2, 3])
+
+
+class TestConvTable:
+    @staticmethod
+    def random_case(rng):
+        hp = Hyperparams(
+            d=int(rng.integers(1, 6)), w=int(rng.choice([1, 3, 5])),
+            n1=int(rng.integers(1, 9)), n2=int(rng.integers(1, 7)),
+            K=int(rng.integers(2, 6)), f=int(rng.choice([0, 3])),
+            train_pad=bool(rng.integers(2)),
+        )
+        params = random_params(hp, vocab_size=12, seed=int(rng.integers(1000)))
+        if hp.train_pad:
+            params.We[:, PAD_INDEX] = rng.normal(size=hp.d)
+        params.b1 = rng.normal(scale=0.2, size=hp.n1)
+        # A small vocab makes ids repeat within a window; id 0 is the pad id.
+        indices = rng.integers(0, 12, size=rng.integers(1, 31))
+        lexfeat = rng.normal(size=hp.f) if hp.f else None
+        return hp, params, indices, lexfeat
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_table_forward_matches_matmul_forward(self, seed):
+        rng = np.random.default_rng(seed)
+        hp, params, indices, lexfeat = self.random_case(rng)
+        # The table may hold more ids than the path, in any order, repeated.
+        extra = rng.integers(0, 12, size=rng.integers(0, 6))
+        table = ConvTable(params, hp, np.concatenate([extra, indices[::-1]]))
+        want, want_cache = forward(params, hp, indices, lexfeat)
+        got, got_cache = forward(params, hp, indices, lexfeat, table)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.argmax(got) == np.argmax(want)
+        assert got_cache.Z.shape == want_cache.Z.shape == (hp.n1, len(indices))
+        assert np.max(np.abs(got_cache.Z - want_cache.Z)) <= 1e-12
+        assert np.array_equal(got_cache.argmax, want_cache.argmax)
+        assert got_cache.X is None
+
+    def test_slot_tables_are_contiguous_and_hold_pad(self):
+        hp = Hyperparams(d=3, w=3, n1=4, n2=3, K=2)
+        table = ConvTable(random_params(hp), hp, [5, 2, 5])
+        assert np.array_equal(table.ids, [PAD_INDEX, 2, 5])
+        assert len(table.slots) == 3
+        assert all(s.shape == (3, 4) and s.flags.c_contiguous for s in table.slots)
+
+    def test_ties_break_to_lowest_position(self):
+        hp = Hyperparams(d=2, w=1, n1=3, n2=2, K=2)
+        params = random_params(hp)
+        _, cache = forward(params, hp, [4, 4, 4], table=ConvTable(params, hp, [4]))
+        assert np.array_equal(cache.argmax, np.zeros(3, dtype=int))
+
+    @pytest.mark.parametrize("index", [-1, 1, 3, 6, 7, 100])
+    def test_index_outside_the_table_raises(self, index):
+        hp = Hyperparams(d=2, w=3, n1=3, n2=2, K=2)
+        params = random_params(hp)
+        table = ConvTable(params, hp, [2, 4, 5])
+        with pytest.raises(ValueError, match=f"index {index} is not in the projection table"):
+            forward(params, hp, [2, index, 5], table=table)
+
+    def test_empty_table_holds_only_pad(self):
+        hp = Hyperparams(d=2, w=3, n1=3, n2=2, K=2)
+        params = random_params(hp)
+        table = ConvTable(params, hp, ())
+        assert np.array_equal(table.ids, [PAD_INDEX])
+        with pytest.raises(ValueError, match="not in the projection table"):
+            forward(params, hp, [2], table=table)
+
+    def test_backward_rejects_a_table_cache(self):
+        hp = Hyperparams(d=3, w=3, n1=4, n2=3, K=4)
+        params = random_params(hp)
+        _, cache = forward(params, hp, [2, 3, 4], table=ConvTable(params, hp, [2, 3, 4]))
+        with pytest.raises(ValueError, match="projection table"):
+            backward(cache, np.eye(4)[1], params, hp)
 
 
 class TestSoftmax:

@@ -1,0 +1,92 @@
+"""Early stopping in ``train``: which epoch's parameters come back, and when it stops."""
+
+import math
+
+import numpy as np
+import pytest
+
+import sdprel.training as training
+from sdprel.network import BLOCKS, Hyperparams, init_network_params
+from sdprel.training import LabeledInstance, TrainConfig, train
+
+HP = Hyperparams(d=3, w=3, n1=4, n2=3, K=3)
+
+
+def small_problem():
+    rng = np.random.default_rng(0)
+    We = rng.uniform(-0.25, 0.25, size=(HP.d, 8))
+    We[:, 0] = 0.0
+    params = init_network_params(HP, We, seed=1)
+    train_set = [
+        LabeledInstance(i, tuple(int(j) for j in rng.integers(1, 8, size=4)), None,
+                        np.eye(HP.K)[i % HP.K])
+        for i in range(6)
+    ]
+    return params, train_set
+
+
+class ScriptedDev:
+    """Returns the scripted dev F1 of each epoch and keeps a copy of the
+    parameters it was shown."""
+
+    def __init__(self, scores):
+        self.scores = list(scores)
+        self.seen = []
+
+    def __call__(self, params):
+        self.seen.append(params.copy())
+        return self.scores[len(self.seen) - 1]
+
+
+def assert_same_params(a, b):
+    for name in BLOCKS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_first_best_epoch_is_kept_and_training_stops_after_patience_stale_epochs():
+    params, train_set = small_problem()
+    # Epoch 2 is the first best; epoch 3 ties it, which is not an improvement.
+    dev = ScriptedDev([0.2, 0.5, 0.5, 0.4, 0.3, 0.9, 0.9, 0.9])
+    config = TrainConfig(max_epochs=8, patience=3)
+    best, history = train(config, train_set, params, HP, dev)
+
+    assert len(history) == 5  # stale after epochs 3, 4 and 5
+    assert [h.epoch for h in history] == [1, 2, 3, 4, 5]
+    assert [h.dev_f1 for h in history] == [0.2, 0.5, 0.5, 0.4, 0.3]
+    assert len(dev.seen) == 5
+    assert_same_params(best, dev.seen[1])
+    assert best is not params
+    # The live parameters went on training past the snapshot.
+    assert not np.array_equal(params.W1, best.W1)
+
+
+def test_improvement_resets_the_stale_count():
+    params, train_set = small_problem()
+    dev = ScriptedDev([0.1, 0.1, 0.3, 0.2, 0.2, 0.2, 0.2])
+    best, history = train(TrainConfig(max_epochs=7, patience=3), train_set, params, HP, dev)
+    assert len(history) == 6
+    assert_same_params(best, dev.seen[2])
+
+
+def test_runs_every_epoch_while_dev_improves():
+    params, train_set = small_problem()
+    dev = ScriptedDev([0.1, 0.2, 0.3, 0.4])
+    best, history = train(TrainConfig(max_epochs=4, patience=1), train_set, params, HP, dev)
+    assert len(history) == 4
+    assert_same_params(best, dev.seen[3])
+
+
+def test_without_dev_evaluator_returns_the_final_parameters():
+    params, train_set = small_problem()
+    before = params.copy()
+    final, history = train(TrainConfig(max_epochs=3, patience=1), train_set, params, HP)
+    assert len(history) == 3
+    assert all(math.isnan(h.dev_f1) for h in history)
+    assert final is params
+    assert not np.array_equal(final.W1, before.W1)
+
+
+def test_empty_training_set_is_rejected():
+    params, _ = small_problem()
+    with pytest.raises(training.ConfigError, match="empty training set"):
+        train(TrainConfig(max_epochs=1), [], params, HP)
