@@ -3,6 +3,11 @@
 Two parallel inputs feed the pipeline: an annotated text file marking the two
 nominals of each instance, and a CoNLL file holding the dependency parse of the
 same tokenization.  This module reads both, validates them, and aligns them.
+
+A parse is stored as columns, as the CoNLL file lays it out:
+``ParsedSentence.forms``, ``.heads`` and ``.deprels`` are equal-length tuples
+whose i-th entries are token i's surface form, its 0-based head index (None
+for the root) and the label of the arc to its head.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 OTHER = "Other"
 
@@ -104,6 +109,8 @@ class DirectedLabel:
 
 OTHER_LABEL = DirectedLabel(OTHER, Direction.NONE)
 
+_LABEL_RE = re.compile(r"(.+?)\((e1,e2|e2,e1)\)")
+
 
 @dataclass(frozen=True)
 class LabelSet:
@@ -133,7 +140,7 @@ class LabelSet:
         text = text.strip()
         if text == OTHER:
             return OTHER_LABEL
-        m = re.fullmatch(r"(.+?)\((e1,e2|e2,e1)\)", text)
+        m = _LABEL_RE.fullmatch(text)
         if m is None or m.group(1) not in self.bases:
             raise CorpusError(f"unknown relation label {text!r}")
         direction = (
@@ -189,9 +196,17 @@ def tokenize(text: str) -> list[str]:
     """Reference tokenizer: whitespace split plus punctuation separation.
 
     The same tokenization must be fed to the external dependency parser;
-    alignment checks fail loudly when the two drift apart.
+    alignment checks fail loudly when the two drift apart.  A whitespace
+    chunk made only of word characters is one token, so only the others go
+    through the regex (``\\w`` is ``str.isalnum()`` or ``_``).
     """
-    return _TOKEN_RE.findall(text)
+    out: list[str] = []
+    for chunk in text.split():
+        if chunk.isalnum():
+            out.append(chunk)
+        else:
+            out.extend(_TOKEN_RE.findall(chunk))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -223,65 +238,57 @@ class RawInstance:
         if a[1] >= b[0]:
             raise ValueError(f"instance {self.id}: overlapping entity spans")
 
-    def with_swapped_spans(self) -> "RawInstance":
-        """Relabel which nominal is e1/e2 (gold direction flips accordingly)."""
-        return RawInstance(
-            self.id, self.tokens, self.e2_span, self.e1_span, self.label.flipped()
-        )
 
+class TreeError(CorpusError):
+    """Head links that do not form one rooted tree.
 
-@dataclass(frozen=True)
-class Token:
-    """One parsed token: surface form, head index (None = root), arc label."""
+    ``token`` is the 0-based index of the token whose head is out of range,
+    None when the fault is the whole sentence's (its root count or a cycle).
+    """
 
-    form: str
-    head: int | None
-    deprel: str
+    def __init__(self, message: str, token: int | None = None) -> None:
+        super().__init__(message)
+        self.token = token
 
 
 @dataclass(frozen=True)
 class ParsedSentence:
-    """A dependency tree over the sentence tokens.
+    """A dependency tree over the sentence tokens, stored as three columns.
 
-    Head indices are 0-based; exactly one token is the root (head None),
-    and the head links must form a single tree.
+    Token i has surface form ``forms[i]``, head ``heads[i]`` (0-based, None
+    for the root) and arc label ``deprels[i]``; exactly one token is the
+    root, and the head links must form a single tree.
     """
 
-    tokens: tuple[Token, ...]
+    forms: tuple[str, ...]
+    heads: tuple[int | None, ...]
+    deprels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.tokens)
-        roots = [i for i, t in enumerate(self.tokens) if t.head is None]
+        heads = self.heads
+        n = len(heads)
+        roots = heads.count(None)
         if not roots:
-            raise CorpusError("no root token; head links form a cycle")
-        if len(roots) > 1:
-            raise CorpusError(f"expected exactly one root token, found {len(roots)}")
-        for i, t in enumerate(self.tokens):
-            if t.head is not None and not (0 <= t.head < n):
-                raise CorpusError(f"token {i + 1}: head index {t.head} out of range")
-        # Reachability from the root proves there are no cycles.
-        children: list[list[int]] = [[] for _ in range(n)]
-        for i, t in enumerate(self.tokens):
-            if t.head is not None:
-                children[t.head].append(i)
-        seen = 0
-        stack = [roots[0]]
-        visited = [False] * n
-        while stack:
-            i = stack.pop()
-            if visited[i]:
-                continue
-            visited[i] = True
-            seen += 1
-            stack.extend(children[i])
-        if seen != n:
-            raise CorpusError("head links contain a cycle")
+            raise TreeError("no root token; head links form a cycle")
+        if roots > 1:
+            raise TreeError(f"expected exactly one root token, found {roots}")
+        for i, h in enumerate(heads):
+            if h is not None and not (0 <= h < n):
+                raise TreeError(f"token {i + 1}: head index {h} out of range", i)
+        # Walk up from each token until a token known to reach the root; the
+        # walk's own stamp met again means the links go round a cycle.
+        stamp = [-1] * n
+        stamp[heads.index(None)] = n
+        for start in range(n):
+            j = start
+            while stamp[j] < 0:
+                stamp[j] = start
+                j = heads[j]
+            if stamp[j] == start:
+                raise TreeError("head links contain a cycle")
 
     def __len__(self) -> int:
-        return len(self.tokens)
-
-    def forms(self) -> list[str]:
-        return [t.form for t in self.tokens]
+        return len(self.forms)
 
 
 @dataclass(frozen=True)
@@ -374,21 +381,6 @@ def parse_semeval_file(path: str | Path, labels: LabelSet = DEFAULT_LABELS) -> l
     return instances
 
 
-def write_semeval_file(instances: Iterable[RawInstance], path: str | Path) -> None:
-    """Serialize instances back to the annotated text format."""
-    out = []
-    for inst in instances:
-        toks = list(inst.tokens)
-        toks[inst.e1_span[0]] = "<e1>" + toks[inst.e1_span[0]]
-        toks[inst.e1_span[1]] = toks[inst.e1_span[1]] + "</e1>"
-        toks[inst.e2_span[0]] = "<e2>" + toks[inst.e2_span[0]]
-        toks[inst.e2_span[1]] = toks[inst.e2_span[1]] + "</e2>"
-        out.append(f'{inst.id}\t"{" ".join(toks)}"')
-        out.append(str(inst.label))
-        out.append("")
-    Path(path).write_text("\n".join(out), encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
 # CoNLL parse files
 # ---------------------------------------------------------------------------
@@ -398,21 +390,27 @@ def read_conll(path: str | Path) -> list[ParsedSentence]:
     """Read a CoNLL file: columns ID FORM LEMMA CPOS POS FEATS HEAD DEPREL.
 
     Extra columns are ignored, HEAD=0 marks the root, blank lines separate
-    sentences.  Head structure is validated to be a single tree.
+    sentences.  Head structure is validated to be a single tree; an error
+    names the sentence and the line of the offending token, or the
+    sentence's first line when the fault is the whole sentence's.
     """
     sentences: list[ParsedSentence] = []
-    block: list[Token] = []
-    ordinal = 1
+    forms: list[str] = []
+    heads: list[int | None] = []
+    deprels: list[str] = []
+    ordinal = first = 1
     for lineno, line in enumerate(
         Path(path).read_text(encoding="utf-8").splitlines(), start=1
     ):
-        if not line.strip():
-            if block:
-                sentences.append(_finish_block(block, path, ordinal))
-                block = []
+        if not line or line.isspace():
+            if forms:
+                sentences.append(_finish_sentence(forms, heads, deprels, path, ordinal, first))
+                forms, heads, deprels = [], [], []
                 ordinal += 1
             continue
-        cols = line.split("\t")
+        if not forms:
+            first = lineno
+        cols = line.split("\t", 8)
         if len(cols) < 8:
             raise CorpusError(
                 f"{path}: sentence {ordinal}, line {lineno}: expected >= 8 "
@@ -424,30 +422,29 @@ def read_conll(path: str | Path) -> list[ParsedSentence]:
             raise CorpusError(
                 f"{path}: sentence {ordinal}, line {lineno}: non-integer HEAD {cols[6]!r}"
             ) from None
-        block.append(Token(cols[1], None if head == 0 else head - 1, cols[7]))
-    if block:
-        sentences.append(_finish_block(block, path, ordinal))
+        forms.append(cols[1])
+        heads.append(head - 1 if head else None)
+        deprels.append(cols[7])
+    if forms:
+        sentences.append(_finish_sentence(forms, heads, deprels, path, ordinal, first))
     return sentences
 
 
-def _finish_block(block: list[Token], path: str | Path, ordinal: int) -> ParsedSentence:
+def _finish_sentence(
+    forms: list[str], heads: list[int | None], deprels: list[str],
+    path: str | Path, ordinal: int, first: int,
+) -> ParsedSentence:
+    """The sentence read from lines ``first`` on; the lines of a sentence
+    are consecutive, so token i is on line ``first + i``."""
     try:
-        return ParsedSentence(tuple(block))
-    except CorpusError as e:
-        raise CorpusError(f"{path}: sentence {ordinal}: {e}") from None
-
-
-def write_conll(sentences: Iterable[ParsedSentence], path: str | Path) -> None:
-    """Serialize parses in the 8-column CoNLL layout read by read_conll."""
-    out = []
-    for sent in sentences:
-        for i, tok in enumerate(sent.tokens):
-            head = 0 if tok.head is None else tok.head + 1
-            out.append(
-                "\t".join([str(i + 1), tok.form, "_", "_", "_", "_", str(head), tok.deprel])
-            )
-        out.append("")
-    Path(path).write_text("\n".join(out), encoding="utf-8")
+        return ParsedSentence(tuple(forms), tuple(heads), tuple(deprels))
+    except TreeError as e:
+        if e.token is None:
+            where, what = first, str(e)
+        else:
+            where = first + e.token
+            what = f"HEAD {heads[e.token] + 1} out of range for {len(heads)} tokens"
+        raise CorpusError(f"{path}: sentence {ordinal}, line {where}: {what}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +459,13 @@ def align(raw: RawInstance, parse: ParsedSentence) -> AlignedInstance:
             f"instance {raw.id}: length mismatch ({len(raw.tokens)} annotated tokens "
             f"vs {len(parse)} parsed); re-parse with the reference tokenization"
         )
-    for i, (a, b) in enumerate(zip(raw.tokens, parse.forms())):
-        if a != b:
-            raise CorpusError(
-                f"instance {raw.id}: token mismatch at index {i} ({a!r} vs {b!r}); "
-                f"re-parse with the reference tokenization"
-            )
+    if raw.tokens != parse.forms:
+        for i, (a, b) in enumerate(zip(raw.tokens, parse.forms)):
+            if a != b:
+                raise CorpusError(
+                    f"instance {raw.id}: token mismatch at index {i} ({a!r} vs {b!r}); "
+                    f"re-parse with the reference tokenization"
+                )
     return AlignedInstance(raw, parse)
 
 

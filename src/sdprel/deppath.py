@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 
-from .corpus import Direction, ParsedSentence, RawInstance, Token
+from .corpus import Direction, ParsedSentence, RawInstance
 
 ARROW_TO_HEAD = "→"
 ARROW_TO_DEPENDENT = "←"
@@ -103,19 +103,13 @@ def select_anchor(span: tuple[int, int], parse: ParsedSentence) -> int:
     Falls back to the rightmost span token when the head is not unique.
     """
     lo, hi = span
-    inside = range(lo, hi + 1)
+    heads = parse.heads
     outward = [
-        i
-        for i in inside
-        if parse.tokens[i].head is None or not (lo <= parse.tokens[i].head <= hi)
+        i for i in range(lo, hi + 1) if heads[i] is None or not (lo <= heads[i] <= hi)
     ]
     if len(outward) == 1:
         return outward[0]
     return hi
-
-
-def _word(token: Token) -> PathNode:
-    return PathNode(NodeKind.WORD, token.form.lower())
 
 
 def instance_path(raw: RawInstance, parse: ParsedSentence, mode: PathMode) -> NodeSequence:
@@ -125,15 +119,15 @@ def instance_path(raw: RawInstance, parse: ParsedSentence, mode: PathMode) -> No
     """
     a = select_anchor(raw.e1_span, parse)
     b = select_anchor(raw.e2_span, parse)
-    tokens = parse.tokens
-    n = len(tokens)
+    forms, heads, deprels = parse.forms, parse.heads, parse.deprels
+    n = len(forms)
     if a == b:
         raise PathError(f"degenerate pair: both anchors are token {a}")
     if not (0 <= a < n and 0 <= b < n):
         raise PathError(f"anchor out of range: {a}, {b} (n={n})")
     # a and its ancestors up to the root, each with its place on that chain
     up = [a]
-    while (head := tokens[up[-1]].head) is not None:
+    while (head := heads[up[-1]]) is not None:
         up.append(head)
     place = {t: k for k, t in enumerate(up)}
     # b and its ancestors below the lowest common ancestor, which is on `up`
@@ -141,21 +135,21 @@ def instance_path(raw: RawInstance, parse: ParsedSentence, mode: PathMode) -> No
     j = b
     while j not in place:
         down.append(j)
-        j = tokens[j].head
+        j = heads[j]
     del up[place[j] + 1 :]
 
     labeled = mode is PathMode.LABELED
-    nodes = [_word(tokens[a])]
+    nodes = [PathNode(NodeKind.WORD, forms[a].lower())]
     for child, head in zip(up, up[1:]):
         nodes.append(TO_HEAD)
         if labeled:
-            nodes.append(PathNode(NodeKind.LABEL, tokens[child].deprel))
-        nodes.append(_word(tokens[head]))
+            nodes.append(PathNode(NodeKind.LABEL, deprels[child]))
+        nodes.append(PathNode(NodeKind.WORD, forms[head].lower()))
     for child in reversed(down):
         nodes.append(TO_DEPENDENT)
         if labeled:
-            nodes.append(PathNode(NodeKind.LABEL, tokens[child].deprel))
-        nodes.append(_word(tokens[child]))
+            nodes.append(PathNode(NodeKind.LABEL, deprels[child]))
+        nodes.append(PathNode(NodeKind.WORD, forms[child].lower()))
     return NodeSequence(tuple(nodes), mode)
 
 

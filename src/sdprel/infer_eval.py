@@ -56,10 +56,10 @@ def combine(
             f"{fwd_probs.shape} and {rev_probs.shape}"
         )
     other = labels.n_relations
-    if np.argmax(fwd_probs) == other and np.argmax(rev_probs) == other:
+    if fwd_probs.argmax() == other and rev_probs.argmax() == other:
         return OTHER_LABEL, float(max(fwd_probs[other], rev_probs[other]))
-    best_fwd = int(np.argmax(fwd_probs[:other]))
-    best_rev = int(np.argmax(rev_probs[:other]))
+    best_fwd = int(fwd_probs[:other].argmax())
+    best_rev = int(rev_probs[:other].argmax())
     if fwd_probs[best_fwd] >= rev_probs[best_rev]:
         label = DirectedLabel(labels.bases[best_fwd], Direction.E1_TO_E2)
         return label, float(fwd_probs[best_fwd])

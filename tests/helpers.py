@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from sdprel.corpus import ParsedSentence, Token
+from sdprel.corpus import ParsedSentence
 
 DEPRELS = ("nsubj", "dobj", "det", "amod", "prep", "pobj", "conj", "advmod")
 
 
 def make_parse(entries) -> ParsedSentence:
     """entries: (form, head 0-based or None, deprel) triples."""
-    return ParsedSentence(tuple(Token(f, h, d) for f, h, d in entries))
+    forms, heads, deprels = zip(*entries)
+    return ParsedSentence(forms, heads, deprels)
 
 
 def singer_parse() -> ParsedSentence:
@@ -46,10 +47,10 @@ def random_parse(rng: np.random.Generator, n: int) -> ParsedSentence:
 def tree_adjacency(parse: ParsedSentence) -> list[set[int]]:
     """Undirected adjacency built directly from head links (oracle-side)."""
     adj: list[set[int]] = [set() for _ in range(len(parse))]
-    for i, tok in enumerate(parse.tokens):
-        if tok.head is not None:
-            adj[i].add(tok.head)
-            adj[tok.head].add(i)
+    for i, head in enumerate(parse.heads):
+        if head is not None:
+            adj[i].add(head)
+            adj[head].add(i)
     return adj
 
 

@@ -51,11 +51,11 @@ def build_graph(parse: ParsedSentence) -> DepGraph:
     """Turn head links into labeled, orientation-tagged undirected adjacency."""
     n = len(parse)
     adj: list[list[Edge]] = [[] for _ in range(n)]
-    for i, tok in enumerate(parse.tokens):
-        if tok.head is None:
+    for i, (head, deprel) in enumerate(zip(parse.heads, parse.deprels)):
+        if head is None:
             continue
-        adj[i].append(Edge(tok.head, tok.deprel, to_head=True))
-        adj[tok.head].append(Edge(i, tok.deprel, to_head=False))
+        adj[i].append(Edge(head, deprel, to_head=True))
+        adj[head].append(Edge(i, deprel, to_head=False))
     return DepGraph(n, tuple(tuple(edges) for edges in adj))
 
 
@@ -89,12 +89,12 @@ def encode_path(
     path: list[int], g: DepGraph, parse: ParsedSentence, mode: PathMode
 ) -> NodeSequence:
     """Encode a token path as word/arrow/label nodes; words are lower-cased."""
-    nodes = [PathNode(NodeKind.WORD, parse.tokens[path[0]].form.lower())]
+    nodes = [PathNode(NodeKind.WORD, parse.forms[path[0]].lower())]
     for i, j in zip(path, path[1:]):
         edge = g.edge_between(i, j)
         arrow = ARROW_TO_HEAD if edge.to_head else ARROW_TO_DEPENDENT
         nodes.append(PathNode(NodeKind.ARROW, arrow))
         if mode is PathMode.LABELED:
             nodes.append(PathNode(NodeKind.LABEL, edge.deprel))
-        nodes.append(PathNode(NodeKind.WORD, parse.tokens[j].form.lower()))
+        nodes.append(PathNode(NodeKind.WORD, parse.forms[j].lower()))
     return NodeSequence(tuple(nodes), mode)

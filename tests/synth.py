@@ -21,10 +21,9 @@ from sdprel.corpus import (
     OTHER_LABEL,
     RawInstance,
     align_corpus,
-    write_conll,
-    write_semeval_file,
 )
 from helpers import make_parse
+from writers import write_conll, write_semeval_file
 
 SYNTH_LABELS = LabelSet(("RelA", "RelB", "RelC", "RelD", "RelE"))
 

@@ -14,7 +14,6 @@ from sdprel.corpus import (
     OTHER_LABEL,
     ParsedSentence,
     RawInstance,
-    Token,
     align,
     align_corpus,
     load_label_set,
@@ -22,10 +21,9 @@ from sdprel.corpus import (
     parse_semeval_file,
     read_conll,
     tokenize,
-    write_conll,
-    write_semeval_file,
 )
 from helpers import make_parse, random_heads
+from writers import write_conll, write_semeval_file
 
 SINGER_RECORD = '1\t"The <e1>singer</e1> caused a <e2>commotion</e2>."\nCause-Effect(e1,e2)\n'
 
@@ -169,7 +167,7 @@ class TestConllReading:
             "1\tsinger\t_\t_\t_\t_\t2\tnsubj\n2\tcaused\t_\t_\t_\t_\t0\troot\n"
         )
         (sent,) = read_conll(path)
-        assert sent.tokens == (Token("singer", 1, "nsubj"), Token("caused", None, "root"))
+        assert sent == ParsedSentence(("singer", "caused"), (1, None), ("nsubj", "root"))
 
     def test_two_token_cycle_rejected(self, tmp_path):
         path = tmp_path / "t.conll"
@@ -203,7 +201,7 @@ class TestConllReading:
         path = tmp_path / "t.conll"
         path.write_text("1\ta\t_\t_\t_\t_\t0\troot\t_\t_\n")
         (sent,) = read_conll(path)
-        assert sent.tokens[0].deprel == "root"
+        assert sent.deprels[0] == "root"
 
     def test_five_token_round_trip(self, tmp_path):
         sent = make_parse([
@@ -294,4 +292,4 @@ class TestInvariants:
 
     def test_single_root_required(self):
         with pytest.raises(CorpusError):
-            ParsedSentence((Token("a", 1, "x"), Token("b", 0, "y")))
+            ParsedSentence(("a", "b"), (1, 0), ("x", "y"))

@@ -17,6 +17,7 @@ from sdprel.deppath import (
 )
 from helpers import DEPRELS, make_parse
 from reference_path import build_graph, encode_path, shortest_path
+from writers import with_swapped_spans
 
 FORMS = ("the", "Singer", "caused", "a", "COMMOTION", "in", "x")
 MODES = st.sampled_from(list(PathMode))
@@ -48,7 +49,7 @@ def instances(draw):
     if draw(st.booleans()):
         spans.reverse()
     label = DirectedLabel("Cause-Effect", Direction.E1_TO_E2)
-    raw = RawInstance(1, tuple(parse.forms()), spans[0], spans[1], label)
+    raw = RawInstance(1, parse.forms, spans[0], spans[1], label)
     return raw, parse
 
 
@@ -77,7 +78,7 @@ def test_reverse_is_an_involution(inst, mode):
 @given(instances(), MODES)
 def test_swapping_the_spans_reverses_the_path(inst, mode):
     raw, parse = inst
-    swapped = instance_path(raw.with_swapped_spans(), parse, mode)
+    swapped = instance_path(with_swapped_spans(raw), parse, mode)
     assert swapped == reverse_path(instance_path(raw, parse, mode))
 
 

@@ -28,6 +28,7 @@ from sdprel.infer_eval import (
 from sdprel.model import Regime, TrainedModel, load_model, save_model
 from sdprel.network import Hyperparams, forward, init_network_params
 from synth import SYNTH_LABELS, aligned_corpus, write_corpus
+from writers import with_swapped_spans
 
 L3 = LabelSet(("Cause-Effect", "Component-Whole", "Content-Container"))
 
@@ -240,7 +241,7 @@ class TestPredictCorpus:
         instances = aligned_corpus(30, seed=11)
         model = tiny_model(Regime.SIGHTED_NS, instances=instances)
         swapped = [
-            type(inst)(inst.raw.with_swapped_spans(), inst.parse) for inst in instances
+            type(inst)(with_swapped_spans(inst.raw), inst.parse) for inst in instances
         ]
         original, _ = predict_corpus(model, instances)
         mirrored, _ = predict_corpus(model, swapped)
