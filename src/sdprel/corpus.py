@@ -95,17 +95,6 @@ class DirectedLabel:
     def is_other(self) -> bool:
         return self.base == OTHER
 
-    def flipped(self) -> "DirectedLabel":
-        """Same base with the subject/object assignment swapped."""
-        if self.direction is Direction.NONE:
-            return self
-        flip = (
-            Direction.E2_TO_E1
-            if self.direction is Direction.E1_TO_E2
-            else Direction.E1_TO_E2
-        )
-        return DirectedLabel(self.base, flip)
-
 
 OTHER_LABEL = DirectedLabel(OTHER, Direction.NONE)
 

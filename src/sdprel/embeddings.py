@@ -79,17 +79,20 @@ def build_vocab(sequences: Iterable[NodeSequence], min_count: int = 1) -> Vocab:
 
 
 def load_pretrained(path: str | Path, d: int) -> dict[str, np.ndarray]:
-    """Read a pretrained-vector file: token then d numbers per line (``#`` is
-    a token, not a comment); a repeated token keeps its last vector."""
+    """Read a pretrained-vector file: token then d finite numbers per line
+    (``#`` is a token, not a comment); a repeated token keeps its last vector."""
 
     def parse(line: str) -> tuple[str, np.ndarray]:
         parts = line.rstrip().split(" ")
         if len(parts) != d + 1:
             raise ValueError(f"expected a token and {d} values, got {len(parts)} fields")
         try:
-            return parts[0], np.array([float(x) for x in parts[1:]], dtype=np.float64)
+            vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
         except ValueError:
             raise ValueError("non-numeric vector entry") from None
+        if not np.isfinite(vec).all():
+            raise ValueError("non-finite vector entry")
+        return parts[0], vec
 
     return dict(parse_lines(path, parse, EmbeddingError))
 

@@ -98,6 +98,8 @@ class NetworkParams:
     """All trainable matrices; We columns are indexed by vocabulary id.
 
     The fields are BLOCKS, in that order; ``block_shapes`` gives their shapes.
+    ``backward`` returns gradients in this type, with only the example's
+    embedding columns in ``We``.
     """
 
     We: np.ndarray
@@ -150,19 +152,6 @@ class ForwardCache:
     hidden: np.ndarray     # n2, tanh output
     combined: np.ndarray   # n2 + f, hidden with lexical features appended
     probs: np.ndarray      # K
-
-
-@dataclass
-class Gradients:
-    """Same shapes as the parameters; We gradients are sparse per column."""
-
-    dW1: np.ndarray
-    db1: np.ndarray
-    dW2: np.ndarray
-    db2: np.ndarray
-    dW3: np.ndarray
-    db3: np.ndarray
-    dWe: dict[int, np.ndarray]
 
 
 def _window_ids(indices: Sequence[int], w: int) -> np.ndarray:
@@ -340,14 +329,15 @@ def backward(
     target: np.ndarray,
     params: NetworkParams,
     hp: Hyperparams,
-) -> Gradients:
+) -> NetworkParams:
     """Exact gradients of the per-example loss for every parameter block.
 
-    Max pooling routes gradient only to each filter's argmax column; only
-    touched embedding columns receive gradient (with their share of the
-    regularizer), so untouched columns are exactly zero.  The dWe keys are
-    ``regularized_columns(cache.indices, hp)``, the columns ``loss``
-    penalises.
+    Each dense block of the result is the gradient of the parameter of the
+    same name.  Its ``We`` is d x len(cols), where column k is the gradient
+    of embedding column ``cols[k]`` and ``cols =
+    regularized_columns(cache.indices, hp)``, the columns ``loss``
+    penalises.  Max pooling routes gradient only to each filter's argmax
+    column; every other embedding column has zero gradient and is left out.
 
     Raises NumericError naming 'gradients' when any block holds a
     non-finite value.  The fast check tests the sum of all blocks; only a
@@ -392,11 +382,11 @@ def backward(
     dWe_cols = np.equal.outer(cols, slot_ids).astype(np.float64) @ dX_slots
     dWe_cols += (2.0 * hp.lambda_we) * params.We[:, cols].T
 
-    blocks = (dW1, dpooled, dW2, dpre, dW3, dscores, dWe_cols)
-    if not np.isfinite(sum(block.sum() for block in blocks)):
-        for block in blocks:
+    grads = NetworkParams(dWe_cols.T, dW1, dpooled, dW2, dpre, dW3, dscores)
+    if not np.isfinite(sum(block.sum() for block in grads.blocks())):
+        for block in grads.blocks():
             _check_finite(block, "gradients")
-    return Gradients(dW1, dpooled, dW2, dpre, dW3, dscores, dict(zip(cols, dWe_cols)))
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +420,6 @@ class GradCheckReport:
 
 
 _CHECK_CONFIGS = (
-    # d, w, n1, n2, K, f, t, train_pad, multi_label
     dict(d=4, w=3, n1=5, n2=4, K=3, f=0, t=4, train_pad=False, multi=False),
     dict(d=3, w=3, n1=4, n2=3, K=3, f=0, t=1, train_pad=False, multi=False),
     dict(d=4, w=3, n1=5, n2=4, K=4, f=3, t=5, train_pad=False, multi=True),
@@ -510,12 +499,11 @@ def grad_check(seed: int = 0) -> GradCheckReport:
         grads = backward(cache, target, params, hp)
 
         for name in DENSE_BLOCKS:
-            analytic = getattr(grads, "d" + name)
+            analytic = getattr(grads, name)
             numeric = _fd_gradient(objective, getattr(params, name), step)
             errors[name] = max(errors[name], _relative_error(analytic, numeric))
 
-        for idx in touched:
-            analytic = grads.dWe.get(idx, np.zeros(hp.d))
+        for idx, analytic in zip(touched, grads.We.T):
             numeric = _fd_gradient(objective, params.We[:, idx], step)
             errors["We"] = max(errors["We"], _relative_error(analytic, numeric))
 

@@ -30,7 +30,6 @@ from .infer_eval import lexfeat_for, macro_f1, predict_corpus
 from .model import Regime, TrainedModel, class_space_size
 from .network import (
     DENSE_BLOCKS,
-    Gradients,
     Hyperparams,
     NetworkParams,
     NumericError,
@@ -226,7 +225,7 @@ def build_path_instances(
             out.append(
                 PathInstance(
                     pool_id, seq, OTHER_LABEL, Provenance.NEG_POOL,
-                    np.zeros(f) if f else None,
+                    lexfeat_for(pool_id, f, None),
                 )
             )
     if skipped:
@@ -243,7 +242,7 @@ def read_pool_file(path: str | Path, mode: PathMode) -> list[tuple[int, NodeSequ
 
 
 def read_lex_features(path: str | Path) -> dict[int, np.ndarray]:
-    """Read ``ID<TAB>v1 v2 ...`` lines: one equal-length vector per instance ID."""
+    """Read ``ID<TAB>v1 v2 ...`` lines: one equal-length finite vector per instance ID."""
     feats: dict[int, np.ndarray] = {}
 
     def add(line: str) -> None:
@@ -253,6 +252,8 @@ def read_lex_features(path: str | Path) -> dict[int, np.ndarray]:
             vec = np.array([float(x) for x in rest.split()], dtype=np.float64)
         except ValueError:
             raise ValueError("expected 'ID<TAB>v1 v2 ...' lexical features") from None
+        if not np.isfinite(vec).all():
+            raise ValueError("non-finite lexical feature value")
         if feats and len(vec) != (length := _lexfeat_length(feats)):
             raise ValueError(f"lexical feature length {len(vec)} != {length}")
         if inst_id in feats:
@@ -329,19 +330,24 @@ class AdagradState:
 
 def adagrad_update(
     params: NetworkParams,
-    grads: Gradients,
+    grads: NetworkParams,
+    cols: Sequence[int],
     state: AdagradState,
     learning_rate: float,
     epsilon: float,
 ) -> None:
     """state += g²; param -= (lr · g) / (sqrt(state) + eps), elementwise.
 
-    Dense blocks update in place through the state's scratch buffers.
-    Embedding columns update sparsely, in one fancy-indexed step over the
-    columns carrying gradient.  ``grads`` is not modified.
+    ``grads`` is what ``backward`` returns: each dense block is the
+    gradient of the parameter of the same name, and column k of
+    ``grads.We`` is the gradient of embedding column ``cols[k]``, with
+    ``cols = regularized_columns(indices, hp)``.  Dense blocks update in
+    place through the state's scratch buffers; embedding columns update
+    sparsely, in one fancy-indexed step over ``cols``.  ``grads`` is not
+    modified.
     """
     for name in DENSE_BLOCKS:
-        g = getattr(grads, "d" + name)
+        g = getattr(grads, name)
         s = getattr(state.sums, name)
         denom, step = state.scratch[name]
         np.multiply(g, g, out=denom)
@@ -351,17 +357,15 @@ def adagrad_update(
         np.multiply(g, learning_rate, out=step)
         step /= denom
         getattr(params, name)[...] -= step
-    if grads.dWe:
-        cols = np.fromiter(grads.dWe, dtype=np.intp, count=len(grads.dWe))
-        g = np.array(list(grads.dWe.values())).T
-        s = state.sums.We[:, cols]
-        s += g * g
-        state.sums.We[:, cols] = s
-        step = learning_rate * g
-        np.sqrt(s, out=s)
-        s += epsilon
-        step /= s
-        params.We[:, cols] -= step
+    g = grads.We
+    s = state.sums.We[:, cols]
+    s += g * g
+    state.sums.We[:, cols] = s
+    step = learning_rate * g
+    np.sqrt(s, out=s)
+    s += epsilon
+    step /= s
+    params.We[:, cols] -= step
 
 
 # ---------------------------------------------------------------------------
@@ -407,18 +411,16 @@ def train(
         total = 0.0
         for k in order:
             inst = train_set[k]
+            cols = regularized_columns(inst.indices, hp)
             try:
                 probs, cache = forward(params, hp, inst.indices, inst.lexfeat)
-                total += loss(
-                    probs, inst.target, params, hp,
-                    regularized_columns(inst.indices, hp),
-                )
+                total += loss(probs, inst.target, params, hp, cols)
                 grads = backward(cache, inst.target, params, hp)
             except NumericError as e:
                 raise NumericError(
                     f"epoch {epoch}, instance {inst.id}: {e}"
                 ) from None
-            adagrad_update(params, grads, state, config.learning_rate, config.epsilon)
+            adagrad_update(params, grads, cols, state, config.learning_rate, config.epsilon)
         mean_loss = total / len(train_set)
 
         dev_f1 = float("nan")

@@ -17,7 +17,6 @@ import numpy as np
 from sdprel.embeddings import PAD_INDEX
 from sdprel.network import (
     ForwardCache,
-    Gradients,
     Hyperparams,
     NetworkParams,
     _check_finite,
@@ -50,12 +49,14 @@ def backward(
     target: np.ndarray,
     params: NetworkParams,
     hp: Hyperparams,
-) -> Gradients:
+) -> NetworkParams:
     """Exact gradients of the per-example loss for every parameter block.
 
     Max pooling routes gradient only to each filter's argmax column; only
     touched embedding columns receive gradient (with their share of the
-    regularizer), so untouched columns are exactly zero.
+    regularizer), so untouched columns are exactly zero.  The per-slot sums
+    are collected in a dict by column, whose keys must be
+    ``regularized_columns``; the result's ``We`` holds them in that order.
     """
     params.check_shapes(hp)
     if cache.probs.shape != (hp.K,) or cache.Z.shape[0] != hp.n1:
@@ -95,35 +96,42 @@ def backward(
                 dWe[idx] += g
             else:
                 dWe[idx] = g.copy()
-    for idx in regularized_columns(cache.indices, hp):
+    cols = regularized_columns(cache.indices, hp)
+    for idx in cols:
         reg = 2.0 * hp.lambda_we * params.We[:, idx]
         if idx in dWe:
             dWe[idx] += reg
         else:
             dWe[idx] = reg
+    assert sorted(dWe) == cols, f"loop columns {sorted(dWe)} != regularized {cols}"
 
-    grads = Gradients(dW1, db1, dW2, db2, dW3, db3, dWe)
-    for block in (dW1, db1, dW2, db2, dW3, db3, *dWe.values()):
+    dWe_cols = np.zeros((hp.d, len(cols)))
+    for k, idx in enumerate(cols):
+        dWe_cols[:, k] = dWe[idx]
+    grads = NetworkParams(dWe_cols, dW1, db1, dW2, db2, dW3, db3)
+    for block in grads.blocks():
         _check_finite(block, "gradients")
     return grads
 
 
 def adagrad_update(
     params: NetworkParams,
-    grads: Gradients,
+    grads: NetworkParams,
+    cols: Sequence[int],
     state: AdagradState,
     learning_rate: float,
     epsilon: float,
 ) -> None:
     """state += g²; param -= lr · g / (sqrt(state) + eps), elementwise.
 
-    Embedding columns update sparsely: only the columns carrying gradient.
+    Embedding columns update sparsely, one at a time: column k of
+    ``grads.We`` updates embedding column ``cols[k]``.
     """
     for name in ("W1", "b1", "W2", "b2", "W3", "b3"):
-        g = getattr(grads, "d" + name)
+        g = getattr(grads, name)
         s = getattr(state.sums, name)
         s += g * g
         getattr(params, name)[...] -= learning_rate * g / (np.sqrt(s) + epsilon)
-    for col, g in grads.dWe.items():
+    for col, g in zip(cols, grads.We.T):
         state.sums.We[:, col] += g * g
         params.We[:, col] -= learning_rate * g / (np.sqrt(state.sums.We[:, col]) + epsilon)

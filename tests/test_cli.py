@@ -103,6 +103,8 @@ def test_train_input_errors_name_the_file_and_line(files, tmp_path, capsys, whic
     ("1\t0.5 0.25\nx7\t1.0 2.0\n", "line 2: expected 'ID<TAB>v1 v2 ...'"),
     ("1\t0.5 0.25\n2\t1.0\n", "line 2: lexical feature length 1 != 2"),
     ("1\t0.5 0.25\n1\t0.7 0.1\n", "line 2: duplicate instance id 1"),
+    ("1\t0.5 0.25\n2\tinf 0.25\n", "line 2: non-finite lexical feature value"),
+    ("1\tnan 0.25\n", "line 1: non-finite lexical feature value"),
 ])
 def test_lexical_feature_errors_name_the_file_and_line(files, tmp_path, capsys, text, expected):
     lex = tmp_path / "lex.txt"
@@ -142,6 +144,19 @@ def test_pretrained_vector_errors_name_the_file_and_line(files, tmp_path, capsys
     assert train(files, tmp_path / "model.json", "--set", f"embeddings_path={vectors}") == 1
     expected = f"{vectors}: line 2: expected a token and 8 values, got 3 fields"
     assert expected in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, line", [
+    ("singer " + "0.1 " * 7 + "nan\n", 1),
+    ("singer" + " 0.1" * 8 + "\ncaused " + "0.1 " * 7 + "-inf\n", 2),
+])
+def test_non_finite_pretrained_vectors_exit_1_naming_the_file_and_line(
+    files, tmp_path, capsys, text, line
+):
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text(text, encoding="utf-8")
+    assert train(files, tmp_path / "model.json", "--set", f"embeddings_path={vectors}") == 1
+    assert f"{vectors}: line {line}: non-finite vector entry" in capsys.readouterr().err
 
 
 def test_repeated_label_names_name_the_label_file(files, tmp_path, capsys):

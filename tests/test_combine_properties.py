@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from sdprel.corpus import Direction, LabelSet
 from sdprel.infer_eval import combine
+from writers import flipped
 
 LABELS = LabelSet(("RelA", "RelB", "RelC"))
 K = LABELS.n_relations + 1
@@ -36,5 +37,5 @@ def test_swapping_the_directions_flips_only_the_direction(fwd, rev):
     assume(fwd[:other].max() != rev[:other].max())
     label, confidence = combine(fwd, rev, LABELS)
     swapped, swapped_confidence = combine(rev, fwd, LABELS)
-    assert swapped == label.flipped()
+    assert swapped == flipped(label)
     assert swapped_confidence == confidence

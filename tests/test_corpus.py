@@ -23,7 +23,7 @@ from sdprel.corpus import (
     tokenize,
 )
 from helpers import make_parse, random_heads
-from writers import write_conll, write_semeval_file
+from writers import flipped, write_conll, write_semeval_file
 
 SINGER_RECORD = '1\t"The <e1>singer</e1> caused a <e2>commotion</e2>."\nCause-Effect(e1,e2)\n'
 
@@ -69,8 +69,8 @@ class TestLabelCodec:
 
     def test_flipped(self):
         label = DEFAULT_LABELS.parse("Component-Whole(e1,e2)")
-        assert str(label.flipped()) == "Component-Whole(e2,e1)"
-        assert OTHER_LABEL.flipped() == OTHER_LABEL
+        assert str(flipped(label)) == "Component-Whole(e2,e1)"
+        assert flipped(OTHER_LABEL) == OTHER_LABEL
 
     def test_index_round_trip(self):
         for i, label in enumerate(DEFAULT_LABELS.all_directed()):

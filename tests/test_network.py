@@ -272,22 +272,23 @@ class TestBackward:
         hp, params, target = self._setup()
         probs, cache = forward(params, hp, [2, 3, 4])
         grads = backward(cache, target, params, hp)
-        assert np.allclose(grads.db3, probs - target, atol=1e-15)
-        assert np.allclose(grads.dW3, np.outer(probs - target, cache.combined), atol=1e-15)
+        assert np.allclose(grads.b3, probs - target, atol=1e-15)
+        assert np.allclose(grads.W3, np.outer(probs - target, cache.combined), atol=1e-15)
 
     def test_untouched_embedding_columns_absent(self):
         hp, params, target = self._setup(lambda_we=0.5)
         indices = [3, 5, 3]
         _, cache = forward(params, hp, indices)
         grads = backward(cache, target, params, hp)
-        assert set(grads.dWe) == set(regularized_columns(indices, hp)) == {3, 5}
-        assert PAD_INDEX not in grads.dWe
+        assert regularized_columns(indices, hp) == [3, 5]
+        assert grads.We.shape == (hp.d, 2)
 
     def test_pad_column_receives_gradient_when_trainable(self):
         hp, params, target = self._setup(train_pad=True)
         _, cache = forward(params, hp, [2])
         grads = backward(cache, target, params, hp)
-        assert PAD_INDEX in grads.dWe
+        assert regularized_columns([2], hp) == [PAD_INDEX, 2]
+        assert grads.We.shape == (hp.d, 2)
 
     def test_mismatched_hyperparams_rejected(self):
         hp, params, target = self._setup()
@@ -309,7 +310,7 @@ class TestGradCheck:
 
         def corrupted(*args):
             grads = exact(*args)
-            grads.dW2 += 0.05
+            grads.W2 += 0.05
             return grads
 
         monkeypatch.setattr(network, "backward", corrupted)

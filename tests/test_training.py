@@ -1,4 +1,5 @@
-"""Early stopping in ``train``: which epoch's parameters come back, and when it stops."""
+"""Early stopping in ``train``: which epoch's parameters come back, and when it
+stops; and the ``.history`` file that records each epoch."""
 
 import math
 
@@ -7,7 +8,7 @@ import pytest
 
 import sdprel.training as training
 from sdprel.network import BLOCKS, Hyperparams, init_network_params
-from sdprel.training import LabeledInstance, TrainConfig, train
+from sdprel.training import EpochStats, LabeledInstance, TrainConfig, train, write_history
 
 HP = Hyperparams(d=3, w=3, n1=4, n2=3, K=3)
 
@@ -90,3 +91,30 @@ def test_empty_training_set_is_rejected():
     params, _ = small_problem()
     with pytest.raises(training.ConfigError, match="empty training set"):
         train(TrainConfig(max_epochs=1), [], params, HP)
+
+
+def test_history_file_has_one_line_per_epoch_that_reads_back_equal(tmp_path):
+    params, train_set = small_problem()
+    dev = ScriptedDev([0.25, 0.5, 1 / 3])
+    _, history = train(TrainConfig(max_epochs=3, patience=3), train_set, params, HP, dev)
+    path = tmp_path / "model.json.history"
+    write_history(history, path)
+
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith("\n")
+    rows = [line.split("\t") for line in text.splitlines()]
+    assert rows == [[str(h.epoch), repr(h.mean_loss), repr(h.dev_f1)] for h in history]
+    assert [EpochStats(int(e), float(loss), float(f1)) for e, loss, f1 in rows] == history
+    assert len(rows) == 3
+
+
+def test_history_file_writes_nan_dev_f1_without_a_dev_set(tmp_path):
+    params, train_set = small_problem()
+    _, history = train(TrainConfig(max_epochs=2, patience=1), train_set, params, HP)
+    path = tmp_path / "model.json.history"
+    write_history(history, path)
+
+    rows = [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()]
+    assert [(int(e), float(loss), f1) for e, loss, f1 in rows] == [
+        (h.epoch, h.mean_loss, "nan") for h in history
+    ]
