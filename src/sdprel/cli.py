@@ -25,6 +25,7 @@ from .network import NumericError, grad_check
 from .training import (
     ConfigError,
     config_from_mapping,
+    lexfeat_length,
     parse_config_file,
     read_lex_features,
     run_training,
@@ -117,8 +118,13 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
-    instances = _load_aligned(args.sem, args.conll, model.labels)
     lexfeats = read_lex_features(args.lex_features) if args.lex_features else None
+    f = lexfeat_length(lexfeats)
+    if f != model.hp.f:
+        source = f"--lex-features {args.lex_features}" if args.lex_features else "no --lex-features"
+        raise ConfigError(f"{source} gives lexical features of length {f}, "
+                          f"but model {args.model} has f = {model.hp.f}")
+    instances = _load_aligned(args.sem, args.conll, model.labels)
     predictions, failed = predict_corpus(model, instances, lexfeats=lexfeats)
     write_predictions(predictions, args.out)
     if failed:

@@ -62,12 +62,15 @@ class Vocab:
 
 
 def build_vocab(sequences: Iterable[NodeSequence], min_count: int = 1) -> Vocab:
-    """Index every node string with frequency >= min_count, in first-seen order."""
+    """Index every node string with frequency >= min_count, in first-seen order.
+    A PAD_TOKEN or UNK_TOKEN node gets no entry: it keeps its reserved column."""
     counts: Counter[str] = Counter()
     order: list[str] = []
     words: set[str] = set()
     for seq in sequences:
         for node in seq.nodes:
+            if node.text in (PAD_TOKEN, UNK_TOKEN):
+                continue
             if node.text not in counts:
                 order.append(node.text)
             counts[node.text] += 1

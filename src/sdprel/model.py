@@ -2,6 +2,8 @@
 
 Saved as a single JSON document.  Floats survive the round trip bit-exactly
 (shortest round-trip decimal representation), so save/load/save is stable.
+``hyperparams.train_pad`` is a fixed ``false``, kept so the file format does
+not change; the pad column is never trained, and loading ignores the key.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class TrainedModel:
 def save_model(model: TrainedModel, path: str | Path) -> None:
     doc = {
         "format": FORMAT_TAG,
-        "hyperparams": asdict(model.hp),
+        "hyperparams": {**asdict(model.hp), "train_pad": False},
         "mode": model.mode.value,
         "regime": model.regime.value,
         "labels": list(model.labels.bases),
@@ -84,7 +86,9 @@ def load_model(path: str | Path) -> TrainedModel:
             f"model file {path}: unsupported model format {tag!r} (expected {FORMAT_TAG!r})"
         )
     try:
-        hp = Hyperparams(**doc["hyperparams"])
+        hyperparams = dict(doc["hyperparams"])
+        hyperparams.pop("train_pad", None)
+        hp = Hyperparams(**hyperparams)
         params = NetworkParams(
             **{name: np.array(doc["params"][name], dtype=np.float64) for name in BLOCKS}
         )

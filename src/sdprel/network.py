@@ -42,8 +42,7 @@ class Hyperparams:
     """Network sizes and per-matrix regularization weights.
 
     f is the length of the optional per-instance lexical feature vector
-    concatenated before the softmax layer (0 disables it).  train_pad
-    unfreezes the padding embedding column.
+    concatenated before the softmax layer (0 disables it).
     """
 
     d: int
@@ -56,7 +55,6 @@ class Hyperparams:
     lambda_w1: float = 1e-3
     lambda_w2: float = 1e-4
     lambda_w3: float = 2e-3
-    train_pad: bool = False
 
     def __post_init__(self) -> None:
         for name in ("d", "w", "n1", "n2", "K"):
@@ -285,18 +283,11 @@ def forward(
     return probs, cache
 
 
-def regularized_columns(indices: Sequence[int], hp: Hyperparams) -> list[int]:
-    """Embedding columns this example touches and trains.
-
-    Window overflow touches the pad column whenever w > 1; the pad column
-    only counts as trainable when train_pad is set.
-    """
-    cols = set(indices)
-    if hp.w > 1:
-        cols.add(PAD_INDEX)
-    if not hp.train_pad:
-        cols.discard(PAD_INDEX)
-    return sorted(cols)
+def regularized_columns(indices: Sequence[int]) -> list[int]:
+    """The embedding columns an example trains: its distinct ids except
+    PAD_INDEX, sorted.  The pad column is never trained, so it keeps the
+    value it was initialised with."""
+    return sorted(set(indices) - {PAD_INDEX})
 
 
 def loss(
@@ -318,9 +309,8 @@ def loss(
         + hp.lambda_w2 * float(np.vdot(params.W2, params.W2))
         + hp.lambda_w3 * float(np.vdot(params.W3, params.W3))
     )
-    if len(touched_cols) > 0:
-        cols = params.We[:, list(touched_cols)]
-        reg += hp.lambda_we * float(np.vdot(cols, cols))
+    cols = params.We[:, touched_cols]
+    reg += hp.lambda_we * float(np.vdot(cols, cols))
     return ce + reg
 
 
@@ -335,7 +325,7 @@ def backward(
     Each dense block of the result is the gradient of the parameter of the
     same name.  Its ``We`` is d x len(cols), where column k is the gradient
     of embedding column ``cols[k]`` and ``cols =
-    regularized_columns(cache.indices, hp)``, the columns ``loss``
+    regularized_columns(cache.indices)``, the columns ``loss``
     penalises.  Max pooling routes gradient only to each filter's argmax
     column; every other embedding column has zero gradient and is left out.
 
@@ -377,7 +367,7 @@ def backward(
     dX_slots = (dZ.T @ params.W1).reshape(t * hp.w, hp.d)
 
     # Sum the slot gradients of each trained column with a one-hot matmul.
-    cols = regularized_columns(cache.indices, hp)
+    cols = regularized_columns(cache.indices)
     slot_ids = _window_ids(cache.indices, hp.w).ravel()
     dWe_cols = np.equal.outer(cols, slot_ids).astype(np.float64) @ dX_slots
     dWe_cols += (2.0 * hp.lambda_we) * params.We[:, cols].T
@@ -420,11 +410,11 @@ class GradCheckReport:
 
 
 _CHECK_CONFIGS = (
-    dict(d=4, w=3, n1=5, n2=4, K=3, f=0, t=4, train_pad=False, multi=False),
-    dict(d=3, w=3, n1=4, n2=3, K=3, f=0, t=1, train_pad=False, multi=False),
-    dict(d=4, w=3, n1=5, n2=4, K=4, f=3, t=5, train_pad=False, multi=True),
-    dict(d=5, w=1, n1=6, n2=5, K=3, f=0, t=6, train_pad=False, multi=False),
-    dict(d=3, w=5, n1=4, n2=3, K=5, f=2, t=3, train_pad=True, multi=False),
+    dict(d=4, w=3, n1=5, n2=4, K=3, f=0, t=4, multi=False),
+    dict(d=3, w=3, n1=4, n2=3, K=3, f=0, t=1, multi=False),
+    dict(d=4, w=3, n1=5, n2=4, K=4, f=3, t=5, multi=True),
+    dict(d=5, w=1, n1=6, n2=5, K=3, f=0, t=6, multi=False),
+    dict(d=3, w=5, n1=4, n2=3, K=5, f=2, t=3, multi=False),
 )
 
 
@@ -432,15 +422,13 @@ def _random_case(cfg: dict, rng: np.random.Generator):
     hp = Hyperparams(
         d=cfg["d"], w=cfg["w"], n1=cfg["n1"], n2=cfg["n2"], K=cfg["K"], f=cfg["f"],
         lambda_we=1e-3, lambda_w1=1e-3, lambda_w2=1e-3, lambda_w3=1e-3,
-        train_pad=cfg["train_pad"],
     )
     vocab_size = 9
     params = NetworkParams(**{
         name: rng.normal(scale=0.5 if len(shape) == 2 else 0.2, size=shape)
         for name, shape in block_shapes(hp, vocab_size).items()
     })
-    if not hp.train_pad:
-        params.We[:, PAD_INDEX] = 0.0
+    params.We[:, PAD_INDEX] = 0.0
     indices = tuple(rng.integers(1, vocab_size, size=cfg["t"]))
     lexfeat = rng.normal(size=hp.f) if hp.f > 0 else None
     target = np.zeros(hp.K)
@@ -479,7 +467,7 @@ def grad_check(seed: int = 0) -> GradCheckReport:
     """Compare analytic gradients with central finite differences.
 
     Runs every built-in configuration (covering t=1 full-padding paths,
-    lexical features, multi-label targets, and a trainable pad column) with
+    lexical features, multi-label targets, and a w=5 window) with
     a central-difference step of 1e-5; a block fails above a relative error
     of 1e-4.
     """
@@ -489,7 +477,7 @@ def grad_check(seed: int = 0) -> GradCheckReport:
 
     for cfg in _CHECK_CONFIGS:
         hp, params, indices, lexfeat, target = _random_case(cfg, rng)
-        touched = regularized_columns(indices, hp)
+        touched = regularized_columns(indices)
 
         def objective() -> float:
             p, _ = forward(params, hp, indices, lexfeat)

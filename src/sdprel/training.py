@@ -8,6 +8,7 @@ of pre-encoded paths can supply random negatives instead.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -187,7 +188,6 @@ class LabeledInstance:
 def build_path_instances(
     instances: Sequence[AlignedInstance],
     config: TrainConfig,
-    labels: LabelSet,
     lexfeats: Mapping[int, np.ndarray] | None = None,
 ) -> tuple[list[PathInstance], list[int]]:
     """Encode training paths per the regime, adding configured negatives.
@@ -197,7 +197,7 @@ def build_path_instances(
     """
     out: list[PathInstance] = []
     skipped: list[int] = []
-    f = _lexfeat_length(lexfeats)
+    f = lexfeat_length(lexfeats)
     for inst in instances:
         raw = inst.raw
         lex = lexfeat_for(raw.id, f, lexfeats)
@@ -254,7 +254,7 @@ def read_lex_features(path: str | Path) -> dict[int, np.ndarray]:
             raise ValueError("expected 'ID<TAB>v1 v2 ...' lexical features") from None
         if not np.isfinite(vec).all():
             raise ValueError("non-finite lexical feature value")
-        if feats and len(vec) != (length := _lexfeat_length(feats)):
+        if feats and len(vec) != (length := lexfeat_length(feats)):
             raise ValueError(f"lexical feature length {len(vec)} != {length}")
         if inst_id in feats:
             raise ValueError(f"duplicate instance id {inst_id}")
@@ -264,7 +264,7 @@ def read_lex_features(path: str | Path) -> dict[int, np.ndarray]:
     return feats
 
 
-def _lexfeat_length(lexfeats: Mapping[int, np.ndarray] | None) -> int:
+def lexfeat_length(lexfeats: Mapping[int, np.ndarray] | None) -> int:
     if not lexfeats:
         return 0
     return len(next(iter(lexfeats.values())))
@@ -341,7 +341,7 @@ def adagrad_update(
     ``grads`` is what ``backward`` returns: each dense block is the
     gradient of the parameter of the same name, and column k of
     ``grads.We`` is the gradient of embedding column ``cols[k]``, with
-    ``cols = regularized_columns(indices, hp)``.  Dense blocks update in
+    ``cols = regularized_columns(indices)``.  Dense blocks update in
     place through the state's scratch buffers; embedding columns update
     sparsely, in one fancy-indexed step over ``cols``.  ``grads`` is not
     modified.
@@ -396,7 +396,8 @@ def train(
 
     Keeps the best-dev parameter snapshot; stops after ``patience`` epochs
     without improvement.  Without a dev evaluator it runs max_epochs and
-    returns the final parameters.
+    returns the final parameters.  A non-finite layer, loss or gradient
+    raises NumericError naming the epoch and the instance.
     """
     if not train_set:
         raise ConfigError("empty training set")
@@ -411,15 +412,15 @@ def train(
         total = 0.0
         for k in order:
             inst = train_set[k]
-            cols = regularized_columns(inst.indices, hp)
+            cols = regularized_columns(inst.indices)
             try:
                 probs, cache = forward(params, hp, inst.indices, inst.lexfeat)
                 total += loss(probs, inst.target, params, hp, cols)
                 grads = backward(cache, inst.target, params, hp)
+                if not math.isfinite(total):  # losses are >= 0: the first bad one shows
+                    raise NumericError("non-finite values in layer 'loss'")
             except NumericError as e:
-                raise NumericError(
-                    f"epoch {epoch}, instance {inst.id}: {e}"
-                ) from None
+                raise NumericError(f"epoch {epoch}, instance {inst.id}: {e}") from None
             adagrad_update(params, grads, cols, state, config.learning_rate, config.epsilon)
         mean_loss = total / len(train_set)
 
@@ -458,14 +459,10 @@ def run_training(
     labels: LabelSet,
 ) -> tuple[TrainedModel, list[EpochStats], dict]:
     """Wire the whole pipeline: paths, vocab, embeddings, SGD, dev scoring."""
-    lexfeats = (
-        read_lex_features(config.lex_features_path)
-        if config.lex_features_path
-        else None
-    )
-    f = _lexfeat_length(lexfeats)
+    lexfeats = read_lex_features(config.lex_features_path) if config.lex_features_path else None
+    f = lexfeat_length(lexfeats)
 
-    paths, skipped = build_path_instances(train_instances, config, labels, lexfeats)
+    paths, skipped = build_path_instances(train_instances, config, lexfeats)
     if not paths:
         raise ConfigError("no usable training instances")
     vocab = build_vocab((p.seq for p in paths), config.min_count)
@@ -491,9 +488,7 @@ def run_training(
         "skipped": skipped,
         "embedding_coverage": coverage,
         "n_train": len(train_set),
-        "n_negatives": sum(
-            1 for p in paths if p.provenance is not Provenance.GOLD
-        ),
+        "n_negatives": sum(p.provenance is not Provenance.GOLD for p in paths),
         "vocab_size": len(vocab),
     }
     return model, history, info

@@ -89,14 +89,14 @@ def backward(
         for b in range(hp.w):
             pos = j - half + b
             idx = cache.indices[pos] if 0 <= pos < t else PAD_INDEX
-            if idx == PAD_INDEX and not hp.train_pad:
+            if idx == PAD_INDEX:
                 continue
             g = dX_T[j, b * hp.d : (b + 1) * hp.d]
             if idx in dWe:
                 dWe[idx] += g
             else:
                 dWe[idx] = g.copy()
-    cols = regularized_columns(cache.indices, hp)
+    cols = regularized_columns(cache.indices)
     for idx in cols:
         reg = 2.0 * hp.lambda_we * params.We[:, idx]
         if idx in dWe:

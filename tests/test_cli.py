@@ -167,3 +167,59 @@ def test_repeated_label_names_name_the_label_file(files, tmp_path, capsys):
     code = main(["score", "--gold", str(gold), "--pred", str(gold), "--labels", str(labels)])
     assert code == 1
     assert f"{labels}: duplicate base relation names" in capsys.readouterr().err
+
+
+def test_reserved_strings_as_path_deprels_train(files, tmp_path):
+    conll = files["train-conll"]
+    text = conll.read_text(encoding="utf-8")
+    conll.write_text(
+        text.replace("\tnsubj\n", "\t<unk>\n", 1).replace("\tdobj\n", "\t<pad>\n", 1),
+        encoding="utf-8",
+    )
+    assert train(files, tmp_path / "model.json") == 0
+
+
+def test_huge_pretrained_vectors_exit_2_naming_the_loss(files, tmp_path, capsys):
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text(
+        "".join(f"n{j:02d}" + " 1e160" * 8 + "\n" for j in range(30)), encoding="utf-8"
+    )
+    assert train(files, tmp_path / "model.json", "--set", f"embeddings_path={vectors}") == 2
+    err = capsys.readouterr().err
+    assert "runtime failure: epoch 1, instance " in err
+    assert "non-finite values in layer 'loss'" in err
+
+
+def predict(files, model, out, *extra):
+    return main([
+        "predict", "--model", str(model), "--sem", str(files["test-sem"]),
+        "--conll", str(files["test-conll"]), "--out", str(out), *extra,
+    ])
+
+
+def test_predict_checks_the_lexical_feature_length_against_the_model(files, tmp_path, capsys):
+    lex2 = tmp_path / "lex2.txt"
+    lex2.write_text("1\t0.5 0.25\n2001\t-0.5 1.0\n", encoding="utf-8")
+    lex3 = tmp_path / "lex3.txt"
+    lex3.write_text("2001\t0.5 0.25 1.0\n", encoding="utf-8")
+    model = tmp_path / "lex-model.json"
+    assert train(files, model, "--set", f"lex_features_path={lex2}") == 0
+    pred = tmp_path / "pred.txt"
+    assert predict(files, model, pred, "--lex-features", str(lex2)) == 0
+    pred.unlink()
+    capsys.readouterr()
+
+    assert predict(files, model, pred, "--lex-features", str(lex3)) == 1
+    assert (f"--lex-features {lex3} gives lexical features of length 3, "
+            f"but model {model} has f = 2") in capsys.readouterr().err
+    assert predict(files, model, pred) == 1
+    assert (f"no --lex-features gives lexical features of length 0, "
+            f"but model {model} has f = 2") in capsys.readouterr().err
+    assert not pred.exists()
+
+    plain = tmp_path / "model.json"
+    assert train(files, plain) == 0
+    capsys.readouterr()
+    assert predict(files, plain, pred, "--lex-features", str(lex2)) == 1
+    assert (f"--lex-features {lex2} gives lexical features of length 2, "
+            f"but model {plain} has f = 0") in capsys.readouterr().err

@@ -59,6 +59,13 @@ class TestVocab:
         vocab = build_vocab([seq("a", "→", "nsubj", "b")])
         assert vocab.word_strings == frozenset({"a", "b"})
 
+    def test_reserved_strings_on_a_path_take_the_reserved_columns(self):
+        s = seq(UNK_TOKEN, "→", PAD_TOKEN, "b", "←", UNK_TOKEN, PAD_TOKEN)
+        vocab = build_vocab([s])
+        assert vocab.items == (PAD_TOKEN, UNK_TOKEN, "→", "b", "←")
+        assert vocab.word_strings == frozenset({"b"})
+        assert vocab.indexify(s) == (UNK_INDEX, 2, PAD_INDEX, 3, 4, UNK_INDEX, PAD_INDEX)
+
     def test_reserved_entries_enforced(self):
         with pytest.raises(ValueError):
             Vocab(("a", "b"), frozenset())

@@ -10,8 +10,10 @@ from sdprel.cli import main
 from sdprel.corpus import LabelSet
 from sdprel.deppath import PathMode
 from sdprel.embeddings import Vocab
+from sdprel.infer_eval import predict_corpus
 from sdprel.model import Regime, TrainedModel, load_model, save_model
 from sdprel.network import Hyperparams, init_network_params
+from synth import aligned_corpus
 
 
 def small_model(seed=0):
@@ -67,6 +69,31 @@ def test_save_load_save_is_stable(tmp_path):
     save_model(model, first)
     save_model(load_model(first), second)
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("train_pad", [None, True])
+def test_train_pad_key_is_ignored_on_load(tmp_path, train_pad):
+    """Files keep a constant ``train_pad``; loading drops it, whatever its
+    value or whether it is there, and predicts as the saved model does."""
+    model = small_model(seed=2)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    assert doc["hyperparams"]["train_pad"] is False
+    if train_pad is None:
+        del doc["hyperparams"]["train_pad"]
+    else:
+        doc["hyperparams"]["train_pad"] = train_pad
+    path.write_text(json.dumps(doc))
+    again = load_model(path)
+    assert again.hp == model.hp
+    instances = aligned_corpus(12, seed=5, labels=model.labels)
+    want, _ = predict_corpus(model, instances)
+    got, _ = predict_corpus(again, instances)
+    assert [(p.final, p.confidence) for p in got] == [(p.final, p.confidence) for p in want]
+    for g, w in zip(got, want):
+        assert g.fwd_probs.tobytes() == w.fwd_probs.tobytes()
+        assert g.rev_probs.tobytes() == w.rev_probs.tobytes()
 
 
 def test_unknown_format_tag_rejected(tmp_path):

@@ -137,10 +137,10 @@ class TestConvTable:
             d=int(rng.integers(1, 6)), w=int(rng.choice([1, 3, 5])),
             n1=int(rng.integers(1, 9)), n2=int(rng.integers(1, 7)),
             K=int(rng.integers(2, 6)), f=int(rng.choice([0, 3])),
-            train_pad=bool(rng.integers(2)),
         )
+        nonzero_pad = bool(rng.integers(2))
         params = random_params(hp, vocab_size=12, seed=int(rng.integers(1000)))
-        if hp.train_pad:
+        if nonzero_pad:
             params.We[:, PAD_INDEX] = rng.normal(size=hp.d)
         params.b1 = rng.normal(scale=0.2, size=hp.n1)
         # A small vocab makes ids repeat within a window; id 0 is the pad id.
@@ -253,7 +253,7 @@ class TestLoss:
         params = zero_params(hp, vocab_size=4)
         params.We = np.ones((2, 4))
         probs, target = np.array([1.0]), np.array([1.0])
-        assert loss(probs, target, params, hp, regularized_columns([2], hp)) == 2.0
+        assert loss(probs, target, params, hp, regularized_columns([2])) == 2.0
         assert loss(probs, target, params, hp, ()) == 0.0
 
 
@@ -280,14 +280,7 @@ class TestBackward:
         indices = [3, 5, 3]
         _, cache = forward(params, hp, indices)
         grads = backward(cache, target, params, hp)
-        assert regularized_columns(indices, hp) == [3, 5]
-        assert grads.We.shape == (hp.d, 2)
-
-    def test_pad_column_receives_gradient_when_trainable(self):
-        hp, params, target = self._setup(train_pad=True)
-        _, cache = forward(params, hp, [2])
-        grads = backward(cache, target, params, hp)
-        assert regularized_columns([2], hp) == [PAD_INDEX, 2]
+        assert regularized_columns(indices) == [3, 5]
         assert grads.We.shape == (hp.d, 2)
 
     def test_mismatched_hyperparams_rejected(self):

@@ -41,8 +41,8 @@ def random_case(rng):
         n1=int(rng.integers(1, 9)), n2=int(rng.integers(1, 7)),
         K=int(rng.integers(2, 6)), f=int(rng.choice([0, 3])),
         lambda_we=1e-3, lambda_w1=2e-3, lambda_w2=3e-3, lambda_w3=4e-3,
-        train_pad=bool(rng.integers(2)),
     )
+    nonzero_pad = bool(rng.integers(2))
     params = NetworkParams(
         We=rng.normal(scale=0.5, size=(hp.d, VOCAB_SIZE)),
         W1=rng.normal(scale=0.5, size=(hp.n1, hp.d_w)),
@@ -52,7 +52,7 @@ def random_case(rng):
         W3=rng.normal(scale=0.5, size=(hp.K, hp.n2 + hp.f)),
         b3=rng.normal(scale=0.2, size=hp.K),
     )
-    if not hp.train_pad:
+    if not nonzero_pad:
         params.We[:, PAD_INDEX] = 0.0
     # A small vocab makes ids repeat within a window; id 0 is the pad id.
     indices = tuple(int(i) for i in rng.integers(0, VOCAB_SIZE, size=rng.integers(1, 31)))
@@ -91,7 +91,7 @@ def test_backward_matches_loop_reference(seed):
     want = ref.backward(cache, target, params, hp)
     for name in BLOCKS:
         assert_relative(getattr(got, name), getattr(want, name))
-    assert got.We.shape == (hp.d, len(regularized_columns(indices, hp)))
+    assert got.We.shape == (hp.d, len(regularized_columns(indices)))
 
 
 def test_all_pad_path_trains_no_embedding_column():
@@ -116,7 +116,7 @@ def test_adagrad_update_matches_per_column_reference(seed):
     state = AdagradState(NetworkParams(*(rng.uniform(0.0, 2.0, size=m.shape) for m in params.blocks())))
 
     got_params, got_state = params.copy(), copy.deepcopy(state)
-    cols = regularized_columns(indices, hp)
+    cols = regularized_columns(indices)
     adagrad_update(got_params, grads, cols, got_state, 0.05, 1e-6)
     want_params, want_state = params.copy(), copy.deepcopy(state)
     ref.adagrad_update(want_params, grads, cols, want_state, 0.05, 1e-6)
