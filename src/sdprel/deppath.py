@@ -11,19 +11,26 @@ The path is encoded as an alternating sequence of word, arrow, and
 (optionally) arc-label nodes.  Arrow convention: "→" marks a traversal step
 from dependent to head, "←" from head to dependent; the label of a step is
 the arc label of its dependent.
+
+A ``NodeSequence`` holds only the node strings and the mode: a node's kind
+follows from its position, so extraction, reversal, path files and vocabulary
+lookup build and check no per-node object.  The ``nodes`` property pairs each
+string with its kind for readers that want both, such as the benchmark's
+corpus notes; nothing on the training or prediction path calls it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
+from typing import NamedTuple
 
 from .corpus import Direction, ParsedSentence, RawInstance
 
 ARROW_TO_HEAD = "→"
 ARROW_TO_DEPENDENT = "←"
 _ARROWS = {ARROW_TO_HEAD, ARROW_TO_DEPENDENT}
+_FLIPPED = {ARROW_TO_HEAD: ARROW_TO_DEPENDENT, ARROW_TO_DEPENDENT: ARROW_TO_HEAD}
 
 
 class PathError(ValueError):
@@ -43,23 +50,15 @@ class PathMode(Enum):
     DIRECTIONS_ONLY = "directions-only"
 
 
-@dataclass(frozen=True)
-class PathNode:
+class PathNode(NamedTuple):
+    """One node of a path with the kind its position gives it."""
+
     kind: NodeKind
     text: str
 
-    def __post_init__(self) -> None:
-        if self.kind is NodeKind.ARROW and self.text not in _ARROWS:
-            raise ValueError(f"invalid arrow token {self.text!r}")
-
-
-#: Every arrow node on an extracted or reversed path is one of these two.
-TO_HEAD = PathNode(NodeKind.ARROW, ARROW_TO_HEAD)
-TO_DEPENDENT = PathNode(NodeKind.ARROW, ARROW_TO_DEPENDENT)
 
 _LABELED_UNIT = (NodeKind.WORD, NodeKind.ARROW, NodeKind.LABEL)
 _DIRECTIONS_UNIT = (NodeKind.WORD, NodeKind.ARROW)
-_kind_of = attrgetter("kind")
 
 
 def _unit(mode: PathMode) -> tuple[NodeKind, ...]:
@@ -67,34 +66,31 @@ def _unit(mode: PathMode) -> tuple[NodeKind, ...]:
     return _LABELED_UNIT if mode is PathMode.LABELED else _DIRECTIONS_UNIT
 
 
-def _kind_at(position: int, mode: PathMode) -> NodeKind:
-    unit = _unit(mode)
-    return unit[position % len(unit)]
-
-
 @dataclass(frozen=True)
 class NodeSequence:
     """The encoded path: WORD (ARROW [LABEL] WORD)*, anchors at both ends."""
 
-    nodes: tuple[PathNode, ...]
+    texts: tuple[str, ...]
     mode: PathMode
 
     def __post_init__(self) -> None:
-        unit = _unit(self.mode)
-        n, step = len(self.nodes), len(unit)
+        n, step = len(self.texts), len(_unit(self.mode))
         if n < 1 or n % step != 1:
             raise ValueError(f"sequence of {n} nodes does not fit mode {self.mode.value}")
-        if tuple(map(_kind_of, self.nodes)) != unit * (n // step) + (NodeKind.WORD,):
-            for i, node in enumerate(self.nodes):
-                want = unit[i % step]
-                if node.kind is not want:
-                    raise ValueError(f"node {i}: expected {want.value}, got {node.kind.value}")
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.texts)
 
-    def texts(self) -> list[str]:
-        return [n.text for n in self.nodes]
+    @property
+    def words(self) -> tuple[str, ...]:
+        """The word nodes, anchors included, in path order."""
+        return self.texts[:: len(_unit(self.mode))]
+
+    @property
+    def nodes(self) -> tuple[PathNode, ...]:
+        """Every node with its positional kind (built on each call)."""
+        unit = _unit(self.mode)
+        return tuple(PathNode(unit[i % len(unit)], t) for i, t in enumerate(self.texts))
 
 
 def select_anchor(span: tuple[int, int], parse: ParsedSentence) -> int:
@@ -139,37 +135,31 @@ def instance_path(raw: RawInstance, parse: ParsedSentence, mode: PathMode) -> No
     del up[place[j] + 1 :]
 
     labeled = mode is PathMode.LABELED
-    nodes = [PathNode(NodeKind.WORD, forms[a].lower())]
+    texts = [forms[a].lower()]
     for child, head in zip(up, up[1:]):
-        nodes.append(TO_HEAD)
+        texts.append(ARROW_TO_HEAD)
         if labeled:
-            nodes.append(PathNode(NodeKind.LABEL, deprels[child]))
-        nodes.append(PathNode(NodeKind.WORD, forms[head].lower()))
+            texts.append(deprels[child])
+        texts.append(forms[head].lower())
     for child in reversed(down):
-        nodes.append(TO_DEPENDENT)
+        texts.append(ARROW_TO_DEPENDENT)
         if labeled:
-            nodes.append(PathNode(NodeKind.LABEL, deprels[child]))
-        nodes.append(PathNode(NodeKind.WORD, forms[child].lower()))
-    return NodeSequence(tuple(nodes), mode)
-
-
-def _flipped(arrow: PathNode) -> PathNode:
-    return TO_DEPENDENT if arrow.text == ARROW_TO_HEAD else TO_HEAD
+            texts.append(deprels[child])
+        texts.append(forms[child].lower())
+    return NodeSequence(tuple(texts), mode)
 
 
 def reverse_path(s: NodeSequence) -> NodeSequence:
     """Reverse the path, keeping each arrow/label unit on its edge and
     flipping every arrow."""
-    nodes = s.nodes
-    out = list(nodes)
+    texts = s.texts
+    step = len(_unit(s.mode))
+    out = list(texts)
+    # w0 a0 l0 w1 ... a(k-1) l(k-1) wk  ->  wk a(k-1)' l(k-1) ... w1 a0' l0 w0
+    out[0::step] = texts[-1::-step]
+    out[1::step] = [_FLIPPED[a] for a in texts[-step::-step]]
     if s.mode is PathMode.LABELED:
-        # w0 a0 l0 w1 ... a(k-1) l(k-1) wk  ->  wk a(k-1)' l(k-1) ... w1 a0' l0 w0
-        out[0::3] = nodes[-1::-3]
-        out[1::3] = map(_flipped, nodes[-3::-3])
-        out[2::3] = nodes[-2::-3]
-    else:
-        out[0::2] = nodes[-1::-2]
-        out[1::2] = map(_flipped, nodes[-2::-2])
+        out[2::3] = texts[-2::-3]
     return NodeSequence(tuple(out), s.mode)
 
 
@@ -189,21 +179,21 @@ def subject_first_path(
 
 
 def format_path_line(inst_id: int, s: NodeSequence) -> str:
-    return f"{inst_id}\t" + " ".join(s.texts())
+    return f"{inst_id}\t" + " ".join(s.texts)
 
 
 def parse_path_line(line: str, mode: PathMode) -> tuple[int, NodeSequence]:
-    """Inverse of format_path_line; validates the node pattern."""
+    """Inverse of format_path_line; validates the arrows, then the length."""
     try:
         id_part, rest = line.rstrip("\n").split("\t", 1)
         inst_id = int(id_part)
     except ValueError:
         raise PathError(f"malformed path line {line!r}") from None
-    texts = rest.split(" ")
+    texts = tuple(rest.split(" "))
     try:
-        nodes = tuple(
-            PathNode(_kind_at(i, mode), t) for i, t in enumerate(texts)
-        )
-        return inst_id, NodeSequence(nodes, mode)
+        for arrow in texts[1 :: len(_unit(mode))]:
+            if arrow not in _ARROWS:
+                raise ValueError(f"invalid arrow token {arrow!r}")
+        return inst_id, NodeSequence(texts, mode)
     except ValueError as e:
         raise PathError(f"malformed path line {line!r}: {e}") from None

@@ -1,8 +1,9 @@
 """Node vocabulary and the embedding matrix, with pretrained-vector loading.
 
 Words, arrows, and arc labels share one index space; each node owns a column
-of the d x |V| embedding matrix.  Index 0 is padding (frozen at zero by
-default), index 1 the unknown-node bucket.
+of the d x |V| embedding matrix.  Index 0 is padding, zero and never
+trained (``network.regularized_columns`` leaves it out of every update), and
+index 1 the unknown-node bucket.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .corpus import parse_lines
-from .deppath import NodeKind, NodeSequence
+from .deppath import NodeSequence
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -58,27 +59,22 @@ class Vocab:
 
     def indexify(self, s: NodeSequence) -> tuple[int, ...]:
         """Node-by-node index lookup; unseen strings map to the unknown bucket."""
-        return tuple(self.lookup(n.text) for n in s.nodes)
+        return tuple(map(self.lookup, s.texts))
 
 
 def build_vocab(sequences: Iterable[NodeSequence], min_count: int = 1) -> Vocab:
     """Index every node string with frequency >= min_count, in first-seen order.
     A PAD_TOKEN or UNK_TOKEN node gets no entry: it keeps its reserved column."""
     counts: Counter[str] = Counter()
-    order: list[str] = []
     words: set[str] = set()
     for seq in sequences:
-        for node in seq.nodes:
-            if node.text in (PAD_TOKEN, UNK_TOKEN):
-                continue
-            if node.text not in counts:
-                order.append(node.text)
-            counts[node.text] += 1
-            if node.kind is NodeKind.WORD:
-                words.add(node.text)
-    kept = [s for s in order if counts[s] >= min_count]
+        counts.update(seq.texts)
+        words.update(seq.words)
+    kept = [
+        s for s, c in counts.items() if c >= min_count and s not in (PAD_TOKEN, UNK_TOKEN)
+    ]
     items = (PAD_TOKEN, UNK_TOKEN, *kept)
-    return Vocab(items, frozenset(w for w in words if counts[w] >= min_count))
+    return Vocab(items, frozenset(words.intersection(kept)))
 
 
 def load_pretrained(path: str | Path, d: int) -> dict[str, np.ndarray]:

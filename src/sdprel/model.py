@@ -74,8 +74,8 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> TrainedModel:
     """Read a model file; a file that is not a model raises a ValueError
-    naming the path and, when a key is missing, the key.  So does a class
-    count K that does not fit the file's regime and labels."""
+    naming the path and, when a key is missing, the key.  So do a class
+    count K unfit for the file's regime and labels, and a NaN or infinity."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as e:  # JSON syntax or text encoding
@@ -93,6 +93,9 @@ def load_model(path: str | Path) -> TrainedModel:
             **{name: np.array(doc["params"][name], dtype=np.float64) for name in BLOCKS}
         )
         params.check_shapes(hp)
+        for name, block in zip(BLOCKS, params.blocks()):
+            if not np.isfinite(block).all():
+                raise ValueError(f"block {name} holds a non-finite value")
         vocab = Vocab(tuple(doc["vocab"]["items"]), frozenset(doc["vocab"]["word_strings"]))
         labels = LabelSet(tuple(doc["labels"]))
         regime = Regime(doc["regime"])

@@ -25,6 +25,7 @@ A table-built cache has no window matrix, so ``backward`` rejects it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -63,8 +64,11 @@ class Hyperparams:
         if self.w % 2 == 0:
             raise ValueError(f"w (window size) must be odd, got {self.w}")
         for name in ("f", "lambda_we", "lambda_w1", "lambda_w2", "lambda_w3"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     @property
     def d_w(self) -> int:

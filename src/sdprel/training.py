@@ -94,8 +94,10 @@ class TrainConfig:
     labels_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
+        for name in ("learning_rate", "epsilon"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
         if self.max_epochs < 1 or self.patience < 1:
             raise ConfigError("max_epochs and patience must be >= 1")
         wants_negatives = self.negatives is not NegativeScheme.NONE

@@ -18,11 +18,9 @@ from sdprel.corpus import ParsedSentence
 from sdprel.deppath import (
     ARROW_TO_DEPENDENT,
     ARROW_TO_HEAD,
-    NodeKind,
     NodeSequence,
     PathError,
     PathMode,
-    PathNode,
 )
 
 
@@ -89,12 +87,11 @@ def encode_path(
     path: list[int], g: DepGraph, parse: ParsedSentence, mode: PathMode
 ) -> NodeSequence:
     """Encode a token path as word/arrow/label nodes; words are lower-cased."""
-    nodes = [PathNode(NodeKind.WORD, parse.forms[path[0]].lower())]
+    texts = [parse.forms[path[0]].lower()]
     for i, j in zip(path, path[1:]):
         edge = g.edge_between(i, j)
-        arrow = ARROW_TO_HEAD if edge.to_head else ARROW_TO_DEPENDENT
-        nodes.append(PathNode(NodeKind.ARROW, arrow))
+        texts.append(ARROW_TO_HEAD if edge.to_head else ARROW_TO_DEPENDENT)
         if mode is PathMode.LABELED:
-            nodes.append(PathNode(NodeKind.LABEL, edge.deprel))
-        nodes.append(PathNode(NodeKind.WORD, parse.forms[j].lower()))
-    return NodeSequence(tuple(nodes), mode)
+            texts.append(edge.deprel)
+        texts.append(parse.forms[j].lower())
+    return NodeSequence(tuple(texts), mode)

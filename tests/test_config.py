@@ -52,6 +52,12 @@ def test_cli_exits_1_with_the_key_in_the_message(tmp_path, capsys, key, value, e
     ("n1", "-3", "sdprel: n1 must be positive, got -3"),
     ("w", "4", "sdprel: w (window size) must be odd, got 4"),
     ("lambda_w1", "-0.5", "sdprel: lambda_w1 must be >= 0, got -0.5"),
+    ("lambda_we", "nan", "sdprel: lambda_we must be finite, got nan"),
+    ("lambda_w3", "inf", "sdprel: lambda_w3 must be finite, got inf"),
+    ("learning_rate", "inf", "sdprel: learning_rate must be finite and > 0, got inf"),
+    ("learning_rate", "nan", "sdprel: learning_rate must be finite and > 0, got nan"),
+    ("epsilon", "0", "sdprel: epsilon must be finite and > 0, got 0.0"),
+    ("epsilon", "-1", "sdprel: epsilon must be finite and > 0, got -1.0"),
 ])
 def test_bad_network_size_or_weight_names_the_key_before_any_corpus_is_read(
     tmp_path, capsys, key, value, expected

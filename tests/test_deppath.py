@@ -13,7 +13,6 @@ from sdprel.deppath import (
     NodeSequence,
     PathError,
     PathMode,
-    PathNode,
     format_path_line,
     instance_path,
     parse_path_line,
@@ -115,19 +114,19 @@ class TestEncoding:
         parse = singer_parse()
         g = build_graph(parse)
         seq = encode_path([1, 2, 4], g, parse, PathMode.LABELED)
-        assert seq.texts() == ["singer", "→", "nsubj", "caused", "←", "dobj", "commotion"]
+        assert seq.texts == ("singer", "→", "nsubj", "caused", "←", "dobj", "commotion")
 
     def test_singer_example_directions_only(self):
         parse = singer_parse()
         g = build_graph(parse)
         seq = encode_path([1, 2, 4], g, parse, PathMode.DIRECTIONS_ONLY)
-        assert seq.texts() == ["singer", "→", "caused", "←", "commotion"]
+        assert seq.texts == ("singer", "→", "caused", "←", "commotion")
 
     def test_words_lowercased_labels_verbatim(self):
         parse = make_parse([("Singer", 1, "NSUBJ"), ("Caused", None, "root")])
         g = build_graph(parse)
         seq = encode_path([0, 1], g, parse, PathMode.LABELED)
-        assert seq.texts() == ["singer", "→", "NSUBJ", "caused"]
+        assert seq.texts == ("singer", "→", "NSUBJ", "caused")
 
     def test_length_formulas(self):
         rng = np.random.default_rng(3)
@@ -148,14 +147,10 @@ class TestEncoding:
         assert len(encode_path([0, 1], g, parse, PathMode.DIRECTIONS_ONLY)) == 3
 
     def test_pattern_validation(self):
-        word = PathNode(NodeKind.WORD, "x")
-        arrow = PathNode(NodeKind.ARROW, ARROW_TO_HEAD)
         with pytest.raises(ValueError):
-            NodeSequence((word, arrow), PathMode.DIRECTIONS_ONLY)
+            NodeSequence(("x", ARROW_TO_HEAD), PathMode.DIRECTIONS_ONLY)
         with pytest.raises(ValueError):
-            NodeSequence((word, arrow, word), PathMode.LABELED)
-        with pytest.raises(ValueError):
-            PathNode(NodeKind.ARROW, "x")
+            NodeSequence(("x", ARROW_TO_HEAD, "x"), PathMode.LABELED)
 
 
 class TestReversal:
@@ -163,12 +158,12 @@ class TestReversal:
         parse = singer_parse()
         g = build_graph(parse)
         seq = encode_path([1, 2, 4], g, parse, PathMode.LABELED)
-        assert reverse_path(seq).texts() == [
+        assert reverse_path(seq).texts == (
             "commotion", "→", "dobj", "caused", "←", "nsubj", "singer",
-        ]
+        )
 
     def test_single_word_is_fixed_point(self):
-        seq = NodeSequence((PathNode(NodeKind.WORD, "x"),), PathMode.LABELED)
+        seq = NodeSequence(("x",), PathMode.LABELED)
         assert reverse_path(seq) == seq
 
     def test_involution_and_node_multisets(self):
@@ -221,14 +216,14 @@ class TestInstancePaths:
     def test_forward_path_is_e1_to_e2(self):
         inst = self._instance(Direction.E1_TO_E2)
         seq = instance_path(inst, singer_parse(), PathMode.LABELED)
-        assert seq.texts()[0] == "singer"
-        assert seq.texts()[-1] == "commotion"
+        assert seq.texts[0] == "singer"
+        assert seq.texts[-1] == "commotion"
 
     def test_subject_first_honors_gold_direction(self):
         inst = self._instance(Direction.E2_TO_E1)
         seq = subject_first_path(inst, singer_parse(), PathMode.LABELED)
-        assert seq.texts()[0] == "commotion"
-        assert seq.texts()[-1] == "singer"
+        assert seq.texts[0] == "commotion"
+        assert seq.texts[-1] == "singer"
 
     def test_degenerate_and_out_of_range_anchors_rejected(self):
         # RawInstance forbids both; a bare pair of spans reaches the checks
@@ -256,3 +251,33 @@ class TestPathLines:
             parse_path_line("1\ta → b", PathMode.LABELED)  # wrong arity
         with pytest.raises(PathError):
             parse_path_line("1\ta x b", PathMode.DIRECTIONS_ONLY)  # bad arrow
+
+    @pytest.mark.parametrize("rest, mode, fault", [
+        ("not a path", PathMode.LABELED, "invalid arrow token 'a'"),
+        ("a → b", PathMode.LABELED, "sequence of 3 nodes does not fit mode labeled"),
+        ("a x b", PathMode.DIRECTIONS_ONLY, "invalid arrow token 'x'"),
+        # a bad arrow is reported before a bad length, and the first one first
+        ("a → b c ← d e", PathMode.DIRECTIONS_ONLY, "invalid arrow token 'c'"),
+        ("a x r b ← s", PathMode.LABELED, "invalid arrow token 'x'"),
+    ])
+    def test_malformed_line_names_the_first_fault(self, rest, mode, fault):
+        line = f"1\t{rest}"
+        with pytest.raises(PathError) as info:
+            parse_path_line(line, mode)
+        assert str(info.value) == f"malformed path line {line!r}: {fault}"
+
+
+class TestNodeView:
+    def test_kinds_follow_from_position(self):
+        labeled = NodeSequence(("a", "→", "nsubj", "b", "←", "dobj", "c"), PathMode.LABELED)
+        assert [n.kind for n in labeled.nodes] == [
+            NodeKind.WORD, NodeKind.ARROW, NodeKind.LABEL, NodeKind.WORD,
+            NodeKind.ARROW, NodeKind.LABEL, NodeKind.WORD,
+        ]
+        assert tuple(n.text for n in labeled.nodes) == labeled.texts
+        assert labeled.words == ("a", "b", "c")
+        bare = NodeSequence(("a", "→", "b", "←", "c"), PathMode.DIRECTIONS_ONLY)
+        assert [n.kind for n in bare.nodes] == [
+            NodeKind.WORD, NodeKind.ARROW, NodeKind.WORD, NodeKind.ARROW, NodeKind.WORD,
+        ]
+        assert bare.words == ("a", "b", "c")

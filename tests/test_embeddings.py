@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sdprel.deppath import NodeKind, NodeSequence, PathMode, PathNode
+from sdprel.deppath import NodeSequence, PathMode
 from sdprel.embeddings import (
     EmbeddingError,
     PAD_INDEX,
@@ -18,14 +18,7 @@ from sdprel.embeddings import (
 
 
 def seq(*texts, mode=PathMode.LABELED):
-    kinds = {
-        PathMode.LABELED: (NodeKind.WORD, NodeKind.ARROW, NodeKind.LABEL),
-        PathMode.DIRECTIONS_ONLY: (NodeKind.WORD, NodeKind.ARROW),
-    }[mode]
-    nodes = tuple(
-        PathNode(kinds[i % len(kinds)], t) for i, t in enumerate(texts)
-    )
-    return NodeSequence(nodes, mode)
+    return NodeSequence(texts, mode)
 
 
 class TestVocab:

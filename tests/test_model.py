@@ -137,3 +137,24 @@ def test_missing_key_names_the_path_and_the_key(tmp_path, capsys):
     assert code == 1
     assert len(err) == 1
     assert str(path) in err[0] and "'hyperparams'" in err[0]
+
+
+@pytest.mark.parametrize("block, row, value", [
+    ("W2", 0, float("nan")),
+    ("We", 1, float("inf")),  # the unknown-node column, unused by most inputs
+    ("b3", None, float("-inf")),
+])
+def test_non_finite_parameter_names_the_path_and_the_block(tmp_path, capsys, block, row, value):
+    path = tmp_path / "model.json"
+    save_model(small_model(), path)
+    doc = json.loads(path.read_text())
+    if row is None:
+        doc["params"][block][0] = value
+    else:
+        doc["params"][block][0][row] = value
+    path.write_text(json.dumps(doc))  # json writes NaN and Infinity and reads them back
+    with pytest.raises(ValueError, match=f"block {block} holds a non-finite value"):
+        load_model(path)
+    code, err = _predict_with(path, tmp_path, capsys)
+    assert code == 1
+    assert err == [f"sdprel: model file {path}: block {block} holds a non-finite value"]
