@@ -95,6 +95,17 @@ class DirectedLabel:
     def is_other(self) -> bool:
         return self.base == OTHER
 
+    def reversed(self) -> DirectedLabel:
+        """The same relation with subject and object swapped; Other stays Other."""
+        if self.is_other:
+            return self
+        flip = (
+            Direction.E2_TO_E1
+            if self.direction is Direction.E1_TO_E2
+            else Direction.E1_TO_E2
+        )
+        return DirectedLabel(self.base, flip)
+
 
 OTHER_LABEL = DirectedLabel(OTHER, Direction.NONE)
 
@@ -103,11 +114,10 @@ _LABEL_RE = re.compile(r"(.+?)\((e1,e2|e2,e1)\)")
 
 @dataclass(frozen=True)
 class LabelSet:
-    """The base relation inventory and the codec between labels and indices.
+    """The base relation inventory and the parser of label strings.
 
-    Two class spaces are derived from the same inventory: the directed space
-    (every relation split into both directions, plus Other) and the base
-    space (relation names plus Other, direction dropped).
+    Which label each network output stands for depends on the regime too;
+    ``model.class_labels`` defines it.
     """
 
     bases: tuple[str, ...]
@@ -119,10 +129,6 @@ class LabelSet:
             raise ValueError(f"{OTHER!r} is implicit and must not be listed")
         if not self.bases:
             raise ValueError("empty label set")
-
-    @property
-    def n_relations(self) -> int:
-        return len(self.bases)
 
     def parse(self, text: str) -> DirectedLabel:
         """Decode a label string such as ``Cause-Effect(e1,e2)`` or ``Other``."""
@@ -145,21 +151,6 @@ class LabelSet:
             out.append(DirectedLabel(base, Direction.E2_TO_E1))
         out.append(OTHER_LABEL)
         return out
-
-    def all_bases(self) -> list[str]:
-        """The R+1 base classes, Other last."""
-        return list(self.bases) + [OTHER]
-
-    def directed_index(self, label: DirectedLabel) -> int:
-        if label.is_other:
-            return 2 * len(self.bases)
-        i = self.bases.index(label.base)
-        return 2 * i + (0 if label.direction is Direction.E1_TO_E2 else 1)
-
-    def base_index(self, base: str) -> int:
-        if base == OTHER:
-            return len(self.bases)
-        return self.bases.index(base)
 
 
 DEFAULT_LABELS = LabelSet(SEMEVAL_BASES)

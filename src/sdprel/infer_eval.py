@@ -1,8 +1,12 @@
 """Dual-direction inference and macro-averaged F1 scoring.
 
-Blind test instances are classified by scoring both path directions: the
-label is Other only when both directions predict Other, otherwise the
-highest-confidence non-Other prediction wins and fixes the direction.
+Network output k stands for ``model.class_labels(regime, labels)[k]`` on
+a path read from its first word: under BLIND a directed label, otherwise
+relation k with the first word as subject, so on a path that starts at e2
+it is the entry's ``reversed()``.  Blind test instances are classified by
+scoring both path directions: the label is Other only when both directions
+predict Other, otherwise the highest-confidence non-Other prediction wins
+and fixes the direction.
 """
 
 from __future__ import annotations
@@ -14,17 +18,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import (
-    AlignedInstance,
-    DirectedLabel,
-    Direction,
-    LabelSet,
-    OTHER,
-    OTHER_LABEL,
-    parse_lines,
-)
+from .corpus import AlignedInstance, DirectedLabel, Direction, LabelSet, OTHER_LABEL, parse_lines
 from .deppath import PathError, instance_path, reverse_path, subject_first_path
-from .model import Regime, TrainedModel, class_space_size
+from .model import Regime, TrainedModel, class_labels
 from .network import ConvTable, forward
 
 
@@ -49,22 +45,21 @@ def combine(
     best non-Other class across both directions decides base and direction,
     ties broken toward the forward (e1→e2) path.
     """
-    k = class_space_size(Regime.SIGHTED_NS, labels)
+    classes = class_labels(Regime.SIGHTED_NS, labels)
+    k = len(classes)
     if fwd_probs.shape != (k,) or rev_probs.shape != (k,):
         raise ValueError(
             f"expected two distributions of length {k}, got "
             f"{fwd_probs.shape} and {rev_probs.shape}"
         )
-    other = labels.n_relations
+    other = k - 1
     if fwd_probs.argmax() == other and rev_probs.argmax() == other:
-        return OTHER_LABEL, float(max(fwd_probs[other], rev_probs[other]))
+        return classes[other], float(max(fwd_probs[other], rev_probs[other]))
     best_fwd = int(fwd_probs[:other].argmax())
     best_rev = int(rev_probs[:other].argmax())
     if fwd_probs[best_fwd] >= rev_probs[best_rev]:
-        label = DirectedLabel(labels.bases[best_fwd], Direction.E1_TO_E2)
-        return label, float(fwd_probs[best_fwd])
-    label = DirectedLabel(labels.bases[best_rev], Direction.E2_TO_E1)
-    return label, float(rev_probs[best_rev])
+        return classes[best_fwd], float(fwd_probs[best_fwd])
+    return classes[best_rev].reversed(), float(rev_probs[best_rev])
 
 
 def lexfeat_for(
@@ -160,26 +155,15 @@ def _predict(
     """One instance's prediction from its indexed path(s)."""
     lex = lexfeat_for(inst.raw.id, model.hp.f, lexfeats)
     fwd_probs, _ = forward(model.params, model.hp, fwd, lex, table)
-    if model.regime is Regime.BLIND:
-        k = int(np.argmax(fwd_probs))
-        final = model.labels.all_directed()[k]
-        return Prediction(inst.raw.id, fwd_probs, None, final, float(fwd_probs[k]))
-    if model.regime is Regime.SIGHTED:
-        k = int(np.argmax(fwd_probs))
-        base = model.labels.all_bases()[k]
-        if base == OTHER:
-            final = OTHER_LABEL
-        else:
-            direction = (
-                inst.raw.label.direction
-                if not inst.raw.label.is_other
-                else Direction.E1_TO_E2
-            )
-            final = DirectedLabel(base, direction)
-        return Prediction(inst.raw.id, fwd_probs, None, final, float(fwd_probs[k]))
-    rev_probs, _ = forward(model.params, model.hp, rev, lex, table)
-    final, conf = combine(fwd_probs, rev_probs, model.labels)
-    return Prediction(inst.raw.id, fwd_probs, rev_probs, final, conf)
+    if model.regime is Regime.SIGHTED_NS:
+        rev_probs, _ = forward(model.params, model.hp, rev, lex, table)
+        final, conf = combine(fwd_probs, rev_probs, model.labels)
+        return Prediction(inst.raw.id, fwd_probs, rev_probs, final, conf)
+    k = int(np.argmax(fwd_probs))
+    final = class_labels(model.regime, model.labels)[k]
+    if model.regime is Regime.SIGHTED and inst.raw.label.direction is Direction.E2_TO_E1:
+        final = final.reversed()  # the subject-first path started at e2
+    return Prediction(inst.raw.id, fwd_probs, None, final, float(fwd_probs[k]))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ not change; the pad column is never trained, and loading ignores the key.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import LabelSet
+from .corpus import OTHER_LABEL, DirectedLabel, Direction, LabelSet
 from .deppath import PathMode
 from .embeddings import Vocab
 from .network import BLOCKS, Hyperparams, NetworkParams
@@ -26,11 +27,14 @@ FORMAT_TAG = "sdprel-model/1"
 class Regime(Enum):
     """How subject/object assignments are used in training and inference.
 
-    BLIND trains and predicts over the doubled directed class space on the
-    e1→e2 path.  SIGHTED trains on the gold subject→object path over base
-    classes and is scored with the assignment given.  SIGHTED_NS adds
-    negative examples in training and classifies blind inputs by running
-    both path directions and combining.
+    BLIND trains and predicts on the e1→e2 path, and output k is a directed
+    label: both directions of every relation, then Other.  SIGHTED trains
+    on the gold subject→object path, and output k means relation k with
+    the path's first word as subject; it is scored with the assignment
+    given.  SIGHTED_NS keeps that meaning, adds negative examples in
+    training, and classifies blind inputs by running both path directions
+    and combining: on the reversed path, output k means relation k in
+    (e2,e1).  ``class_labels`` is the one table of these meanings.
     """
 
     BLIND = "blind"
@@ -38,12 +42,17 @@ class Regime(Enum):
     SIGHTED_NS = "sighted-ns"
 
 
-def class_space_size(regime: Regime, labels: LabelSet) -> int:
-    """The network's output size: both directions of every relation plus
-    Other under BLIND, the base relations plus Other otherwise."""
+@functools.cache
+def class_labels(regime: Regime, labels: LabelSet) -> tuple[DirectedLabel, ...]:
+    """The label of network output k for a path read from its first word.
+
+    Under BLIND it is ``labels.all_directed()``.  Otherwise it is each base
+    relation as ``(e1,e2)``, then Other: for a path that starts at e2, the
+    label is the entry's ``reversed()``.  Its length is the class count K.
+    """
     if regime is Regime.BLIND:
-        return 2 * labels.n_relations + 1
-    return labels.n_relations + 1
+        return tuple(labels.all_directed())
+    return (*(DirectedLabel(b, Direction.E1_TO_E2) for b in labels.bases), OTHER_LABEL)
 
 
 @dataclass
@@ -99,7 +108,7 @@ def load_model(path: str | Path) -> TrainedModel:
         vocab = Vocab(tuple(doc["vocab"]["items"]), frozenset(doc["vocab"]["word_strings"]))
         labels = LabelSet(tuple(doc["labels"]))
         regime = Regime(doc["regime"])
-        need_k = class_space_size(regime, labels)
+        need_k = len(class_labels(regime, labels))
         if hp.K != need_k:
             raise ValueError(
                 f"model has {hp.K} classes but regime {regime.value} needs {need_k}"

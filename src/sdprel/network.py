@@ -400,10 +400,6 @@ class GradCheckReport:
     def passed(self) -> bool:
         return all(e <= self.tolerance for e in self.block_errors.values())
 
-    @property
-    def failing_blocks(self) -> list[str]:
-        return [b for b, e in self.block_errors.items() if e > self.tolerance]
-
     def render(self) -> str:
         lines = [f"gradient check: {self.n_configs} configurations, tolerance {self.tolerance:g}"]
         for name, err in self.block_errors.items():

@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence, get_args, get_type_hints
 
 import numpy as np
 
-from .corpus import AlignedInstance, DirectedLabel, LabelSet, OTHER_LABEL, parse_lines
+from .corpus import AlignedInstance, DirectedLabel, Direction, LabelSet, OTHER_LABEL, parse_lines
 from .deppath import (
     NodeSequence,
     PathError,
@@ -26,9 +26,9 @@ from .deppath import (
     reverse_path,
     subject_first_path,
 )
-from .embeddings import Vocab, build_vocab, init_embeddings
+from .embeddings import PAD_TOKEN, UNK_TOKEN, Vocab, build_vocab, init_embeddings
 from .infer_eval import lexfeat_for, macro_f1, predict_corpus
-from .model import Regime, TrainedModel, class_space_size
+from .model import Regime, TrainedModel, class_labels
 from .network import (
     DENSE_BLOCKS,
     Hyperparams,
@@ -100,6 +100,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be finite and > 0, got {value}")
         if self.max_epochs < 1 or self.patience < 1:
             raise ConfigError("max_epochs and patience must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         wants_negatives = self.negatives is not NegativeScheme.NONE
         if wants_negatives != (self.regime is Regime.SIGHTED_NS):
             raise ConfigError(
@@ -272,28 +274,27 @@ def lexfeat_length(lexfeats: Mapping[int, np.ndarray] | None) -> int:
     return len(next(iter(lexfeats.values())))
 
 
-def target_vector(label: DirectedLabel, regime: Regime, labels: LabelSet) -> np.ndarray:
-    """One-hot target in the regime's class space."""
-    t = np.zeros(class_space_size(regime, labels))
-    if regime is Regime.BLIND:
-        t[labels.directed_index(label)] = 1.0
-    else:
-        t[labels.base_index(label.base)] = 1.0
-    return t
-
-
 def to_labeled(
     path_instances: Sequence[PathInstance],
     vocab: Vocab,
     labels: LabelSet,
     regime: Regime,
 ) -> list[LabeledInstance]:
-    return [
-        LabeledInstance(
-            p.id, vocab.indexify(p.seq), p.lexfeat, target_vector(p.label, regime, labels)
-        )
-        for p in path_instances
-    ]
+    """Index each path and one-hot its label over ``class_labels``.
+
+    Outside BLIND a gold path starts at the subject, so a gold ``(e2,e1)``
+    label is the ``(e1,e2)`` class of its path.
+    """
+    classes = class_labels(regime, labels)
+    out = []
+    for p in path_instances:
+        label = p.label
+        if regime is not Regime.BLIND and label.direction is Direction.E2_TO_E1:
+            label = label.reversed()
+        target = np.zeros(len(classes))
+        target[classes.index(label)] = 1.0
+        out.append(LabeledInstance(p.id, vocab.indexify(p.seq), p.lexfeat, target))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +469,14 @@ def run_training(
     if not paths:
         raise ConfigError("no usable training instances")
     vocab = build_vocab((p.seq for p in paths), config.min_count)
+    if vocab.items == (PAD_TOKEN, UNK_TOKEN):
+        raise ConfigError(
+            f"min_count = {config.min_count} leaves no node in the vocabulary "
+            f"(only {PAD_TOKEN} and {UNK_TOKEN})"
+        )
     We, coverage = init_embeddings(vocab, config.embeddings_path, config.d, config.seed)
 
-    hp = config.hyperparams(K=class_space_size(config.regime, labels), f=f)
+    hp = config.hyperparams(K=len(class_labels(config.regime, labels)), f=f)
     params = init_network_params(hp, We, config.seed + 1)
     train_set = to_labeled(paths, vocab, labels, config.regime)
 

@@ -51,7 +51,7 @@ def directional_corpus(
             label = OTHER_LABEL
             role_a, role_b = ("nsubj", "dobj") if rng.random() < 0.5 else ("dobj", "nsubj")
         else:
-            k = int(rng.integers(labels.n_relations))
+            k = int(rng.integers(len(labels.bases)))
             inverted = rng.random() < 0.5
             conv = "p" if inverted else "a"
             verb = f"v{k}{conv}{rng.integers(verbs_per_convention)}"

@@ -179,6 +179,13 @@ def test_reserved_strings_as_path_deprels_train(files, tmp_path):
     assert train(files, tmp_path / "model.json") == 0
 
 
+def test_min_count_that_leaves_no_node_exits_1_naming_the_key(files, tmp_path, capsys):
+    assert train(files, tmp_path / "model.json", "--set", "min_count=1000") == 1
+    assert ("sdprel: min_count = 1000 leaves no node in the vocabulary"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_huge_pretrained_vectors_exit_2_naming_the_loss(files, tmp_path, capsys):
     vectors = tmp_path / "vectors.txt"
     vectors.write_text(

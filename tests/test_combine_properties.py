@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 
 from sdprel.corpus import Direction, LabelSet
 from sdprel.infer_eval import combine
-from writers import flipped
 
 LABELS = LabelSet(("RelA", "RelB", "RelC"))
-K = LABELS.n_relations + 1
+K = len(LABELS.bases) + 1
 
 
 def distributions():
@@ -32,10 +31,10 @@ def test_only_other_is_directionless(fwd, rev):
 
 @given(distributions(), distributions())
 def test_swapping_the_directions_flips_only_the_direction(fwd, rev):
-    other = LABELS.n_relations
+    other = len(LABELS.bases)
     # An exact tie between the best relations breaks toward forward by design.
     assume(fwd[:other].max() != rev[:other].max())
     label, confidence = combine(fwd, rev, LABELS)
     swapped, swapped_confidence = combine(rev, fwd, LABELS)
-    assert swapped == flipped(label)
+    assert swapped == label.reversed()
     assert swapped_confidence == confidence

@@ -58,6 +58,7 @@ def test_cli_exits_1_with_the_key_in_the_message(tmp_path, capsys, key, value, e
     ("learning_rate", "nan", "sdprel: learning_rate must be finite and > 0, got nan"),
     ("epsilon", "0", "sdprel: epsilon must be finite and > 0, got 0.0"),
     ("epsilon", "-1", "sdprel: epsilon must be finite and > 0, got -1.0"),
+    ("seed", "-1", "sdprel: seed must be >= 0, got -1"),
 ])
 def test_bad_network_size_or_weight_names_the_key_before_any_corpus_is_read(
     tmp_path, capsys, key, value, expected

@@ -22,8 +22,9 @@ from sdprel.corpus import (
     read_conll,
     tokenize,
 )
+from sdprel.model import Regime, class_labels
 from helpers import make_parse, random_heads
-from writers import flipped, write_conll, write_semeval_file
+from writers import write_conll, write_semeval_file
 
 SINGER_RECORD = '1\t"The <e1>singer</e1> caused a <e2>commotion</e2>."\nCause-Effect(e1,e2)\n'
 
@@ -69,14 +70,19 @@ class TestLabelCodec:
 
     def test_flipped(self):
         label = DEFAULT_LABELS.parse("Component-Whole(e1,e2)")
-        assert str(flipped(label)) == "Component-Whole(e2,e1)"
-        assert flipped(OTHER_LABEL) == OTHER_LABEL
+        assert str(label.reversed()) == "Component-Whole(e2,e1)"
+        assert label.reversed().reversed() == label
+        assert OTHER_LABEL.reversed() == OTHER_LABEL
 
     def test_index_round_trip(self):
-        for i, label in enumerate(DEFAULT_LABELS.all_directed()):
-            assert DEFAULT_LABELS.directed_index(label) == i
-        for i, base in enumerate(DEFAULT_LABELS.all_bases()):
-            assert DEFAULT_LABELS.base_index(base) == i
+        for regime in Regime:
+            classes = class_labels(regime, DEFAULT_LABELS)
+            for i, label in enumerate(classes):
+                assert classes.index(label) == i
+        assert class_labels(Regime.BLIND, DEFAULT_LABELS) == tuple(DEFAULT_LABELS.all_directed())
+        assert [str(label) for label in class_labels(Regime.SIGHTED, DEFAULT_LABELS)] == [
+            f"{base}(e1,e2)" for base in DEFAULT_LABELS.bases
+        ] + ["Other"]
 
     def test_label_set_file(self, tmp_path):
         path = tmp_path / "labels.txt"

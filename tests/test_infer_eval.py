@@ -161,9 +161,9 @@ def tiny_model(regime, seed=0, instances=None):
     seqs = [instance_path(i.raw, i.parse, PathMode.LABELED) for i in instances]
     vocab = build_vocab(seqs)
     K = (
-        2 * SYNTH_LABELS.n_relations + 1
+        2 * len(SYNTH_LABELS.bases) + 1
         if regime is Regime.BLIND
-        else SYNTH_LABELS.n_relations + 1
+        else len(SYNTH_LABELS.bases) + 1
     )
     hp = Hyperparams(d=4, w=3, n1=5, n2=4, K=K)
     We, _ = init_embeddings(vocab, None, 4, seed)
@@ -200,7 +200,7 @@ class TestPredictCorpus:
             seq = subject_first_path(inst.raw, inst.parse, model.mode)
             probs, _ = forward(model.params, model.hp, model.vocab.indexify(seq))
             assert np.allclose(p.fwd_probs, probs, rtol=0, atol=1e-12)
-            assert p.final.base == model.labels.all_bases()[int(np.argmax(probs))]
+            assert p.final.base == [*model.labels.bases, "Other"][int(np.argmax(probs))]
             if not p.final.is_other and not inst.raw.label.is_other:
                 assert p.final.direction is inst.raw.label.direction
 
@@ -267,7 +267,7 @@ def matmul_reference(model, instances, fail_ids):
             final = SYNTH_LABELS.all_directed()[k]
             preds.append(Prediction(inst.raw.id, fwd, None, final, fwd[k]))
         elif model.regime is Regime.SIGHTED:
-            base = SYNTH_LABELS.all_bases()[k]
+            base = [*SYNTH_LABELS.bases, OTHER_LABEL.base][k]
             gold = inst.raw.label
             direction = Direction.E1_TO_E2 if gold.is_other else gold.direction
             final = OTHER_LABEL if base == OTHER_LABEL.base else DirectedLabel(base, direction)

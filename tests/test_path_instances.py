@@ -1,6 +1,7 @@
 """``build_path_instances``: the path orientation of each regime, reversed and
 pool negatives, lexical features, and skipped instances, compared as node
-strings against the breadth-first reference extraction."""
+strings against the breadth-first reference extraction; and the one-hot
+targets that ``to_labeled`` gives their labels."""
 
 from dataclasses import replace
 
@@ -8,10 +9,13 @@ import numpy as np
 import pytest
 
 import sdprel.training as training
-from sdprel.corpus import OTHER_LABEL, Direction
+from sdprel.corpus import OTHER_LABEL, Direction, LabelSet
 from sdprel.deppath import NodeSequence, PathError, PathMode, format_path_line, select_anchor
+from sdprel.embeddings import build_vocab
 from sdprel.model import Regime
-from sdprel.training import NegativeScheme, Provenance, TrainConfig, build_path_instances
+from sdprel.training import (
+    NegativeScheme, PathInstance, Provenance, TrainConfig, build_path_instances, to_labeled,
+)
 from reference_path import build_graph, encode_path, shortest_path
 from synth import aligned_corpus
 
@@ -125,3 +129,28 @@ def test_instances_without_a_path_are_skipped_and_their_ids_returned(monkeypatch
         i for i in ids if i not in fail_ids
     ]
     assert not {p.id for p in out} & set(fail_ids)
+
+
+@pytest.mark.parametrize("regime, expected", [
+    # RelB is base 1: (e1,e2) at 2·1, (e2,e1) at 2·1 + 1, Other at 2R.
+    (Regime.BLIND, [2, 3, 6, 6]),
+    # The sighted paths start at the subject: both directions are base 1.
+    (Regime.SIGHTED, [1, 1, 3, 3]),
+    (Regime.SIGHTED_NS, [1, 1, 3, 3]),
+])
+def test_to_labeled_one_hots_the_class_index_of_each_label(regime, expected):
+    labels = LabelSet(("RelA", "RelB", "RelC"))
+    seq = NodeSequence(("a", "→", "nsubj", "b"), PathMode.LABELED)
+    path_instances = [
+        PathInstance(1, seq, labels.parse("RelB(e1,e2)")),
+        PathInstance(2, seq, labels.parse("RelB(e2,e1)")),
+        PathInstance(2, seq, OTHER_LABEL, Provenance.NEG_REVERSED),
+        PathInstance(3, seq, OTHER_LABEL),
+    ]
+    vocab = build_vocab([seq])
+    out = to_labeled(path_instances, vocab, labels, regime)
+    K = 2 * 3 + 1 if regime is Regime.BLIND else 3 + 1
+    assert [inst.id for inst in out] == [1, 2, 2, 3]
+    assert all(inst.indices == vocab.indexify(seq) for inst in out)
+    for inst, k in zip(out, expected):
+        assert np.array_equal(inst.target, np.eye(K)[k])

@@ -1,5 +1,4 @@
-"""Test-side writers for the two input formats, the e1/e2 span swap and
-the label flip that goes with it.
+"""Test-side writers for the two input formats, and the e1/e2 span swap.
 
 The program only reads annotated-sentence and CoNLL files; the tests write
 them to build corpora on disk and to check that reading inverts writing.
@@ -10,7 +9,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-from sdprel.corpus import DirectedLabel, Direction, ParsedSentence, RawInstance
+from sdprel.corpus import ParsedSentence, RawInstance
 
 
 def write_semeval_file(instances: Iterable[RawInstance], path: str | Path) -> None:
@@ -39,18 +38,6 @@ def write_conll(sentences: Iterable[ParsedSentence], path: str | Path) -> None:
     Path(path).write_text("\n".join(out), encoding="utf-8")
 
 
-def flipped(label: DirectedLabel) -> DirectedLabel:
-    """Same base with the subject/object assignment swapped."""
-    if label.direction is Direction.NONE:
-        return label
-    flip = (
-        Direction.E2_TO_E1
-        if label.direction is Direction.E1_TO_E2
-        else Direction.E1_TO_E2
-    )
-    return DirectedLabel(label.base, flip)
-
-
 def with_swapped_spans(raw: RawInstance) -> RawInstance:
     """Relabel which nominal is e1/e2 (gold direction flips accordingly)."""
-    return RawInstance(raw.id, raw.tokens, raw.e2_span, raw.e1_span, flipped(raw.label))
+    return RawInstance(raw.id, raw.tokens, raw.e2_span, raw.e1_span, raw.label.reversed())
