@@ -202,6 +202,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as e:
         print(f"sdprel: no such file: {e.filename}", file=sys.stderr)
         return 1
+    except IsADirectoryError as e:
+        print(f"sdprel: is a directory, not a file: {e.filename}", file=sys.stderr)
+        return 1
     except ValueError as e:  # every input error type is a ValueError
         print(f"sdprel: {e}", file=sys.stderr)
         return 1

@@ -275,12 +275,18 @@ def write_predictions(predictions: Sequence[Prediction], path: str | Path) -> No
 def read_predictions(
     path: str | Path, labels: LabelSet
 ) -> list[tuple[int, DirectedLabel]]:
-    """Read ``ID<TAB>label`` lines; errors name the file and line."""
+    """Read ``ID<TAB>label`` lines, one per instance ID; errors name the
+    file and line."""
+    seen: set[int] = set()
 
     def parse(line: str) -> tuple[int, DirectedLabel]:
         parts = line.split("\t")
         if len(parts) != 2:
             raise ValueError("expected 'ID<TAB>label'")
-        return int(parts[0]), labels.parse(parts[1])
+        inst_id = int(parts[0])
+        if inst_id in seen:
+            raise ValueError(f"duplicate instance id {inst_id}")
+        seen.add(inst_id)
+        return inst_id, labels.parse(parts[1])
 
     return parse_lines(path, parse)

@@ -7,12 +7,16 @@ of pre-encoded paths can supply random negatives instead.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, get_args, get_type_hints
+from typing import Callable, Iterator, Mapping, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -360,6 +364,7 @@ def adagrad_update(
         np.multiply(g, learning_rate, out=step)
         step /= denom
         getattr(params, name)[...] -= step
+    cols = np.asarray(cols, dtype=np.intp)  # converted once for the three fancy indexes
     g = grads.We
     s = state.sums.We[:, cols]
     s += g * g
@@ -374,6 +379,41 @@ def adagrad_update(
 # ---------------------------------------------------------------------------
 # The SGD loop
 # ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _openblas_thread_calls() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The get/set thread-count functions of numpy's bundled OpenBLAS, or None."""
+    site = Path(np.__file__).resolve().parent.parent
+    for lib in glob.glob(str(site / "numpy.libs" / "*openblas*")):
+        handle = ctypes.CDLL(lib)
+        get = getattr(handle, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(handle, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Run the body with numpy's OpenBLAS at one thread, then restore the count.
+
+    The count is process-wide.  Without numpy's bundled OpenBLAS, or without
+    its thread-count symbols, this does nothing.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    saved = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(saved)
 
 
 @dataclass(frozen=True)
@@ -401,6 +441,13 @@ def train(
     without improvement.  Without a dev evaluator it runs max_epochs and
     returns the final parameters.  A non-finite layer, loss or gradient
     raises NumericError naming the epoch and the instance.
+
+    The epochs, dev evaluation included, run with numpy's OpenBLAS at one
+    thread (``one_blas_thread``).  Each step's matrix-vector products are
+    too small to gain from a second thread, and on a small host that
+    thread competes with the step's other numpy work.  The thread count is
+    process-wide: other threads of the process see one BLAS thread until
+    ``train`` returns or raises, when the previous count is restored.
     """
     if not train_set:
         raise ConfigError("empty training set")
@@ -410,35 +457,36 @@ def train(
     best_params: NetworkParams | None = None
     stale = 0
 
-    for epoch in range(1, config.max_epochs + 1):
-        order = shuffle_order(config.seed, epoch, len(train_set))
-        total = 0.0
-        for k in order:
-            inst = train_set[k]
-            cols = regularized_columns(inst.indices)
-            try:
-                probs, cache = forward(params, hp, inst.indices, inst.lexfeat)
-                total += loss(probs, inst.target, params, hp, cols)
-                grads = backward(cache, inst.target, params, hp)
-                if not math.isfinite(total):  # losses are >= 0: the first bad one shows
-                    raise NumericError("non-finite values in layer 'loss'")
-            except NumericError as e:
-                raise NumericError(f"epoch {epoch}, instance {inst.id}: {e}") from None
-            adagrad_update(params, grads, cols, state, config.learning_rate, config.epsilon)
-        mean_loss = total / len(train_set)
+    with one_blas_thread():
+        for epoch in range(1, config.max_epochs + 1):
+            order = shuffle_order(config.seed, epoch, len(train_set))
+            total = 0.0
+            for k in order:
+                inst = train_set[k]
+                cols = regularized_columns(inst.indices)
+                try:
+                    probs, cache = forward(params, hp, inst.indices, inst.lexfeat)
+                    total += loss(probs, inst.target, params, hp, cols)
+                    grads = backward(cache, inst.target, params, hp)
+                    if not math.isfinite(total):  # losses are >= 0: the first bad one shows
+                        raise NumericError("non-finite values in layer 'loss'")
+                except NumericError as e:
+                    raise NumericError(f"epoch {epoch}, instance {inst.id}: {e}") from None
+                adagrad_update(params, grads, cols, state, config.learning_rate, config.epsilon)
+            mean_loss = total / len(train_set)
 
-        dev_f1 = float("nan")
-        if dev_evaluator is not None:
-            dev_f1 = dev_evaluator(params)
-            if dev_f1 > best_f1:
-                best_f1 = dev_f1
-                best_params = params.copy()
-                stale = 0
-            else:
-                stale += 1
-        history.append(EpochStats(epoch, mean_loss, dev_f1))
-        if dev_evaluator is not None and stale >= config.patience:
-            break
+            dev_f1 = float("nan")
+            if dev_evaluator is not None:
+                dev_f1 = dev_evaluator(params)
+                if dev_f1 > best_f1:
+                    best_f1 = dev_f1
+                    best_params = params.copy()
+                    stale = 0
+                else:
+                    stale += 1
+            history.append(EpochStats(epoch, mean_loss, dev_f1))
+            if dev_evaluator is not None and stale >= config.patience:
+                break
 
     final = best_params if best_params is not None else params
     return final, history

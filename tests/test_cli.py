@@ -129,6 +129,18 @@ def test_score_prediction_errors_name_the_file_and_line(files, tmp_path, capsys,
     assert f"{pred}: {expected}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which", ["gold", "pred"])
+def test_score_rejects_a_repeated_instance_id(files, tmp_path, capsys, which):
+    paths = {name: tmp_path / f"{name}.txt" for name in ("gold", "pred")}
+    for path in paths.values():
+        path.write_text("1\tOther\n2\tOther\n", encoding="utf-8")
+    paths[which].write_text("1\tOther\n2\tOther\n1\tOther\n", encoding="utf-8")
+    code = main(["score", "--gold", str(paths["gold"]), "--pred", str(paths["pred"]),
+                 "--labels", str(files["labels"])])
+    assert code == 1
+    assert f"{paths[which]}: line 3: duplicate instance id 1" in capsys.readouterr().err
+
+
 def test_pool_file_errors_name_the_file_and_line(files, tmp_path, capsys):
     pool = tmp_path / "pool.paths"
     pool.write_text("7\tsinger ← nsubj caused\n1\tnot a path\n", encoding="utf-8")
@@ -230,3 +242,17 @@ def test_predict_checks_the_lexical_feature_length_against_the_model(files, tmp_
     assert predict(files, plain, pred, "--lex-features", str(lex2)) == 1
     assert (f"--lex-features {lex2} gives lexical features of length 2, "
             f"but model {plain} has f = 0") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "score"])
+def test_a_directory_given_as_an_input_file_exits_1_naming_it(files, tmp_path, capsys, command):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    if command == "train":
+        code = train({**files, "config": folder}, tmp_path / "model.json")
+    elif command == "predict":
+        code = predict(files, folder, tmp_path / "pred.txt")
+    else:
+        code = main(["score", "--gold", str(folder), "--pred", str(files["test-sem"])])
+    assert code == 1
+    assert f"sdprel: is a directory, not a file: {folder}" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Early stopping in ``train``: which epoch's parameters come back, and when it
-stops; and the ``.history`` file that records each epoch."""
+stops; the ``.history`` file that records each epoch; and the one-BLAS-thread
+scope that ``train`` runs its epochs in."""
 
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import sdprel.training as training
-from sdprel.network import BLOCKS, Hyperparams, init_network_params
+from sdprel.network import BLOCKS, Hyperparams, NumericError, init_network_params
 from sdprel.training import EpochStats, LabeledInstance, TrainConfig, train, write_history
 
 HP = Hyperparams(d=3, w=3, n1=4, n2=3, K=3)
@@ -118,3 +119,49 @@ def test_history_file_writes_nan_dev_f1_without_a_dev_set(tmp_path):
     assert [(int(e), float(loss), f1) for e, loss, f1 in rows] == [
         (h.epoch, h.mean_loss, "nan") for h in history
     ]
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS thread-count getter, with the count set to 2 for the
+    test and put back afterwards."""
+    calls = training._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's OpenBLAS thread-count functions were not found")
+    get, set_ = calls
+    saved = get()
+    set_(2)
+    yield get
+    set_(saved)
+
+
+def test_training_and_dev_evaluation_run_on_one_blas_thread(blas_threads):
+    params, train_set = small_problem()
+    seen = []
+
+    def dev(current):
+        seen.append(blas_threads())
+        return 0.5
+
+    train(TrainConfig(max_epochs=2, patience=2), train_set, params, HP, dev)
+    assert seen == [1, 1]
+    assert blas_threads() == 2
+
+
+def test_the_blas_thread_count_is_restored_after_a_numeric_error(blas_threads):
+    params, _ = small_problem()
+    target = np.zeros(HP.K)
+    target[0] = np.nan
+    inst = LabeledInstance(7, (2, 3, 4), None, target)
+    with pytest.raises(NumericError, match=r"epoch 1, instance 7: .*'gradients'"):
+        train(TrainConfig(max_epochs=1), [inst], params, HP)
+    assert blas_threads() == 2
+
+
+def test_one_blas_thread_does_nothing_without_the_thread_count_functions(
+    blas_threads, monkeypatch
+):
+    monkeypatch.setattr(training, "_openblas_thread_calls", lambda: None)
+    with training.one_blas_thread():
+        assert blas_threads() == 2
+    assert blas_threads() == 2
