@@ -17,6 +17,7 @@ from .corpus import (
     load_label_set,
     parse_semeval_file,
     read_conll,
+    read_text,
 )
 from .deppath import PathError, PathMode, format_path_line, instance_path
 from .infer_eval import macro_f1, predict_corpus, read_predictions, write_predictions
@@ -69,7 +70,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True, help="predictions-format file")
     p.add_argument("--labels", help="label-set file (default: the 9 standard relations)")
 
-    p = sub.add_parser("extract-paths", help="dump encoded e1→e2 paths for inspection")
+    p = sub.add_parser(
+        "extract-paths",
+        help="write encoded e1→e2 paths for inspection or as the pool_path file",
+        description="Write each instance's encoded e1→e2 path as an 'ID<TAB>path' line, "
+                    "for inspection or as the pool_path file that training with "
+                    "negatives = pool reads (with --mode set to the training's mode).",
+    )
     p.add_argument("--sem", required=True)
     p.add_argument("--conll", required=True)
     p.add_argument("--mode", default="labeled",
@@ -134,10 +141,9 @@ def _cmd_predict(args) -> int:
 
 
 def _looks_like_semeval(path: str) -> bool:
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                return '\t"' in line
+    for line in read_text(path).splitlines():
+        if line.strip():
+            return '\t"' in line
     return False
 
 

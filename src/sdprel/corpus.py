@@ -38,6 +38,17 @@ class CorpusError(ValueError):
     """Malformed corpus file or failed raw/parse alignment."""
 
 
+def read_text(path: str | Path, error: type[ValueError] = CorpusError) -> str:
+    """The text of a UTF-8 file; bytes that do not decode raise ``error``
+    naming the file and the 1-based line they are on."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise error(f"{path}: line {line}: not valid UTF-8") from None
+
+
 def parse_lines(
     path: str | Path,
     parse: Callable[[str], object],
@@ -51,7 +62,7 @@ def parse_lines(
     leading blanks) are skipped too.
     """
     out = []
-    for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for n, line in enumerate(read_text(path, error).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or (comments and stripped.startswith("#")):
             continue
@@ -159,8 +170,9 @@ DEFAULT_LABELS = LabelSet(SEMEVAL_BASES)
 def load_label_set(path: str | Path) -> LabelSet:
     """Read a label-set file: one base relation name per line, # comments,
     Other implicit; errors name the file."""
+    bases = tuple(parse_lines(path, str.strip, comments=True))
     try:
-        return LabelSet(tuple(parse_lines(path, str.strip, comments=True)))
+        return LabelSet(bases)
     except ValueError as e:
         raise CorpusError(f"{path}: {e}") from None
 
@@ -327,7 +339,7 @@ def parse_semeval_file(path: str | Path, labels: LabelSet = DEFAULT_LABELS) -> l
     """
     instances: list[RawInstance] = []
     seen_ids: set[int] = set()
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     i = 0
     while i < len(lines):
         line = lines[i]
@@ -379,9 +391,7 @@ def read_conll(path: str | Path) -> list[ParsedSentence]:
     heads: list[int | None] = []
     deprels: list[str] = []
     ordinal = first = 1
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line or line.isspace():
             if forms:
                 sentences.append(_finish_sentence(forms, heads, deprels, path, ordinal, first))

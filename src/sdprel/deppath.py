@@ -165,12 +165,12 @@ def reverse_path(s: NodeSequence) -> NodeSequence:
 
 def subject_first_path(
     raw: RawInstance, parse: ParsedSentence, mode: PathMode
-) -> NodeSequence:
-    """The path starting at the gold subject (e1→e2 for undirected labels)."""
+) -> tuple[NodeSequence, bool]:
+    """The path starting at the gold subject (e1→e2 for undirected labels),
+    and whether it starts at e2."""
     fwd = instance_path(raw, parse, mode)
-    if raw.label.direction is Direction.E2_TO_E1:
-        return reverse_path(fwd)
-    return fwd
+    from_e2 = raw.label.direction is Direction.E2_TO_E1
+    return (reverse_path(fwd) if from_e2 else fwd), from_e2
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,9 @@
 """Dual-direction inference and macro-averaged F1 scoring.
 
-Network output k stands for ``model.class_labels(regime, labels)[k]`` on
-a path read from its first word: under BLIND a directed label, otherwise
-relation k with the first word as subject, so on a path that starts at e2
-it is the entry's ``reversed()``.  Blind test instances are classified by
-scoring both path directions: the label is Other only when both directions
-predict Other, otherwise the highest-confidence non-Other prediction wins
-and fixes the direction.
+Network output k decodes through ``model.class_labels``.  Under SIGHTED_NS
+blind test instances are classified by scoring both path directions: the
+label is Other only when both directions predict Other, otherwise the
+highest-confidence non-Other prediction wins and fixes the direction.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import AlignedInstance, DirectedLabel, Direction, LabelSet, OTHER_LABEL, parse_lines
+from .corpus import AlignedInstance, DirectedLabel, LabelSet, OTHER_LABEL, parse_lines
 from .deppath import PathError, instance_path, reverse_path, subject_first_path
 from .model import Regime, TrainedModel, class_labels
 from .network import ConvTable, forward
@@ -59,7 +56,7 @@ def combine(
     best_rev = int(rev_probs[:other].argmax())
     if fwd_probs[best_fwd] >= rev_probs[best_rev]:
         return classes[best_fwd], float(fwd_probs[best_fwd])
-    return classes[best_rev].reversed(), float(rev_probs[best_rev])
+    return class_labels(Regime.SIGHTED_NS, labels, True)[best_rev], float(rev_probs[best_rev])
 
 
 def lexfeat_for(
@@ -83,20 +80,20 @@ PREDICT_CHUNK = 64
 
 def _indexed_paths(
     model: TrainedModel, inst: AlignedInstance
-) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """The instance's path as an index array, and for sighted-ns its reverse;
-    None when the path cannot be extracted."""
+) -> tuple[np.ndarray, np.ndarray | None, bool] | None:
+    """The instance's path as an index array, for sighted-ns its reverse, and
+    whether the path starts at e2; None when the path cannot be extracted."""
     try:
         if model.regime is Regime.SIGHTED:
-            seq = subject_first_path(inst.raw, inst.parse, model.mode)
+            seq, from_e2 = subject_first_path(inst.raw, inst.parse, model.mode)
         else:
-            seq = instance_path(inst.raw, inst.parse, model.mode)
+            seq, from_e2 = instance_path(inst.raw, inst.parse, model.mode), False
     except PathError:
         return None
     fwd = np.array(model.vocab.indexify(seq), dtype=np.intp)
     if model.regime is not Regime.SIGHTED_NS:
-        return fwd, None
-    return fwd, np.array(model.vocab.indexify(reverse_path(seq)), dtype=np.intp)
+        return fwd, None, from_e2
+    return fwd, np.array(model.vocab.indexify(reverse_path(seq)), dtype=np.intp), from_e2
 
 
 def predict_corpus(
@@ -134,7 +131,7 @@ def _predict_chunk(
     The table is freed on return, so only one is alive at a time.
     """
     paths = [_indexed_paths(model, inst) for inst in chunk]
-    ids = [a for p in paths if p is not None for a in p if a is not None]
+    ids = [a for p in paths if p is not None for a in p[:2] if a is not None]
     table = ConvTable(model.params, model.hp, np.concatenate(ids) if ids else ())
     return [
         Prediction(inst.raw.id, None, None, OTHER_LABEL, 0.0, failed=True)
@@ -149,20 +146,19 @@ def _predict(
     inst: AlignedInstance,
     fwd: np.ndarray,
     rev: np.ndarray | None,
+    from_e2: bool,
     lexfeats: Mapping[int, np.ndarray] | None,
     table: ConvTable,
 ) -> Prediction:
     """One instance's prediction from its indexed path(s)."""
     lex = lexfeat_for(inst.raw.id, model.hp.f, lexfeats)
     fwd_probs, _ = forward(model.params, model.hp, fwd, lex, table)
-    if model.regime is Regime.SIGHTED_NS:
+    if rev is not None:
         rev_probs, _ = forward(model.params, model.hp, rev, lex, table)
         final, conf = combine(fwd_probs, rev_probs, model.labels)
         return Prediction(inst.raw.id, fwd_probs, rev_probs, final, conf)
     k = int(np.argmax(fwd_probs))
-    final = class_labels(model.regime, model.labels)[k]
-    if model.regime is Regime.SIGHTED and inst.raw.label.direction is Direction.E2_TO_E1:
-        final = final.reversed()  # the subject-first path started at e2
+    final = class_labels(model.regime, model.labels, from_e2)[k]
     return Prediction(inst.raw.id, fwd_probs, None, final, float(fwd_probs[k]))
 
 

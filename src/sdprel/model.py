@@ -27,14 +27,11 @@ FORMAT_TAG = "sdprel-model/1"
 class Regime(Enum):
     """How subject/object assignments are used in training and inference.
 
-    BLIND trains and predicts on the e1→e2 path, and output k is a directed
-    label: both directions of every relation, then Other.  SIGHTED trains
-    on the gold subject→object path, and output k means relation k with
-    the path's first word as subject; it is scored with the assignment
-    given.  SIGHTED_NS keeps that meaning, adds negative examples in
-    training, and classifies blind inputs by running both path directions
-    and combining: on the reversed path, output k means relation k in
-    (e2,e1).  ``class_labels`` is the one table of these meanings.
+    BLIND trains and predicts on the e1→e2 path.  SIGHTED trains on the gold
+    subject→object path and is scored with the assignment given.  SIGHTED_NS
+    adds negative examples in training and classifies blind inputs by running
+    both path directions and combining.  ``class_labels`` says what each
+    network output means under each regime.
     """
 
     BLIND = "blind"
@@ -43,13 +40,22 @@ class Regime(Enum):
 
 
 @functools.cache
-def class_labels(regime: Regime, labels: LabelSet) -> tuple[DirectedLabel, ...]:
+def class_labels(
+    regime: Regime, labels: LabelSet, from_e2: bool = False
+) -> tuple[DirectedLabel, ...]:
     """The label of network output k for a path read from its first word.
 
-    Under BLIND it is ``labels.all_directed()``.  Otherwise it is each base
-    relation as ``(e1,e2)``, then Other: for a path that starts at e2, the
-    label is the entry's ``reversed()``.  Its length is the class count K.
+    Under BLIND it is ``labels.all_directed()``; otherwise output k means
+    relation k with the path's first word as subject, so the table is each
+    base relation as ``(e1,e2)``, then Other.  Its length is the class count K.
+
+    Reading a path from the other nominal swaps subject and object: for a
+    path that starts at e2 (``from_e2``) the table holds each entry's
+    ``reversed()``.  Training targets, single-path decoding and the reverse
+    half of ``combine`` all go through this table.
     """
+    if from_e2:
+        return tuple(label.reversed() for label in class_labels(regime, labels))
     if regime is Regime.BLIND:
         return tuple(labels.all_directed())
     return (*(DirectedLabel(b, Direction.E1_TO_E2) for b in labels.bases), OTHER_LABEL)
@@ -84,7 +90,8 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> TrainedModel:
     """Read a model file; a file that is not a model raises a ValueError
     naming the path and, when a key is missing, the key.  So do a class
-    count K unfit for the file's regime and labels, and a NaN or infinity."""
+    count K unfit for the file's regime and labels, a ``We`` whose column
+    count is not the vocabulary size, and a NaN or infinity."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as e:  # JSON syntax or text encoding
@@ -106,6 +113,10 @@ def load_model(path: str | Path) -> TrainedModel:
             if not np.isfinite(block).all():
                 raise ValueError(f"block {name} holds a non-finite value")
         vocab = Vocab(tuple(doc["vocab"]["items"]), frozenset(doc["vocab"]["word_strings"]))
+        if params.We.shape[1] != len(vocab):
+            raise ValueError(
+                f"We has {params.We.shape[1]} columns but the vocabulary has {len(vocab)} items"
+            )
         labels = LabelSet(tuple(doc["labels"]))
         regime = Regime(doc["regime"])
         need_k = len(class_labels(regime, labels))

@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Mapping, Sequence, get_args, get_type_hin
 
 import numpy as np
 
-from .corpus import AlignedInstance, DirectedLabel, Direction, LabelSet, OTHER_LABEL, parse_lines
+from .corpus import AlignedInstance, DirectedLabel, LabelSet, OTHER_LABEL, parse_lines
 from .deppath import (
     NodeSequence,
     PathError,
@@ -72,7 +72,9 @@ class TrainConfig:
     parsed by the field's type (``config_from_mapping``).  Defaults follow
     the reference setup: window 3, 200 convolution filters, 100 hidden
     units, per-matrix regularization (1e-4, 1e-3, 1e-4, 2e-3),
-    50-dimensional embeddings.
+    50-dimensional embeddings.  With ``negatives = pool``, ``pool_path``
+    names a file of encoded paths in the ``sdprel extract-paths`` output
+    format; each one becomes an Other-labeled training example.
     """
 
     regime: Regime = Regime.SIGHTED_NS
@@ -174,13 +176,15 @@ def config_from_mapping(values: Mapping[str, str]) -> TrainConfig:
 
 @dataclass(frozen=True)
 class PathInstance:
-    """An encoded path with its gold label, before vocabulary lookup."""
+    """An encoded path with its gold label, before vocabulary lookup;
+    ``from_e2`` says whether the path starts at e2."""
 
     id: int
     seq: NodeSequence
     label: DirectedLabel
     provenance: Provenance = Provenance.GOLD
     lexfeat: np.ndarray | None = None
+    from_e2: bool = False
 
 
 @dataclass(frozen=True)
@@ -211,21 +215,19 @@ def build_path_instances(
         lex = lexfeat_for(raw.id, f, lexfeats)
         try:
             if config.regime is Regime.BLIND:
-                seq = instance_path(raw, inst.parse, config.mode)
+                seq, from_e2 = instance_path(raw, inst.parse, config.mode), False
             else:
-                seq = subject_first_path(raw, inst.parse, config.mode)
+                seq, from_e2 = subject_first_path(raw, inst.parse, config.mode)
         except PathError as e:
             log.warning("skipping instance %d: %s", raw.id, e)
             skipped.append(raw.id)
             continue
-        out.append(PathInstance(raw.id, seq, raw.label, Provenance.GOLD, lex))
-        if (
-            config.negatives is NegativeScheme.REVERSED
-            and not raw.label.is_other
-        ):
+        out.append(PathInstance(raw.id, seq, raw.label, Provenance.GOLD, lex, from_e2))
+        if config.negatives is NegativeScheme.REVERSED and not raw.label.is_other:
             out.append(
                 PathInstance(
-                    raw.id, reverse_path(seq), OTHER_LABEL, Provenance.NEG_REVERSED, lex
+                    raw.id, reverse_path(seq), OTHER_LABEL, Provenance.NEG_REVERSED,
+                    lex, not from_e2,
                 )
             )
     if config.negatives is NegativeScheme.POOL:
@@ -284,19 +286,13 @@ def to_labeled(
     labels: LabelSet,
     regime: Regime,
 ) -> list[LabeledInstance]:
-    """Index each path and one-hot its label over ``class_labels``.
-
-    Outside BLIND a gold path starts at the subject, so a gold ``(e2,e1)``
-    label is the ``(e1,e2)`` class of its path.
-    """
-    classes = class_labels(regime, labels)
+    """Index each path and one-hot its label over the ``class_labels`` of
+    the path's reading."""
     out = []
     for p in path_instances:
-        label = p.label
-        if regime is not Regime.BLIND and label.direction is Direction.E2_TO_E1:
-            label = label.reversed()
+        classes = class_labels(regime, labels, p.from_e2)
         target = np.zeros(len(classes))
-        target[classes.index(label)] = 1.0
+        target[classes.index(p.label)] = 1.0
         out.append(LabeledInstance(p.id, vocab.indexify(p.seq), p.lexfeat, target))
     return out
 

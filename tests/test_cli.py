@@ -256,3 +256,40 @@ def test_a_directory_given_as_an_input_file_exits_1_naming_it(files, tmp_path, c
         code = main(["score", "--gold", str(folder), "--pred", str(files["test-sem"])])
     assert code == 1
     assert f"sdprel: is a directory, not a file: {folder}" in capsys.readouterr().err
+
+
+NOT_UTF8 = b"1\tfine\n\xff\n"  # the second line does not decode
+UTF8_CASES = [
+    ("train", "config"), ("train", "train-sem"), ("train", "train-conll"),
+    ("train", "dev-sem"), ("train", "dev-conll"), ("train", "embeddings_path"),
+    ("train", "lex_features_path"), ("train", "pool_path"), ("train", "labels_path"),
+    ("predict", "test-sem"), ("predict", "test-conll"), ("predict", "--lex-features"),
+    ("score", "--gold"), ("score", "--pred"), ("score", "--labels"),
+]
+
+
+@pytest.mark.parametrize("command, which", UTF8_CASES)
+def test_a_file_that_is_not_utf8_exits_1_naming_it_and_the_line(
+    files, tmp_path, capsys, command, which
+):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(NOT_UTF8)
+    model, out = tmp_path / "model.json", tmp_path / "out.txt"
+    if command == "train" and which in files:
+        code = train({**files, which: bad}, model)
+    elif command == "train":
+        pool = ("--set", "negatives=pool") if which == "pool_path" else ()
+        code = train(files, model, "--set", f"{which}={bad}", *pool)
+    elif command == "predict":
+        assert train(files, model) == 0
+        capsys.readouterr()
+        if which in files:
+            code = predict({**files, which: bad}, model, out)
+        else:
+            code = predict(files, model, out, which, str(bad))
+    else:
+        argv = {"--gold": files["test-sem"], "--pred": files["test-sem"],
+                "--labels": files["labels"], which: bad}
+        code = main(["score", *(str(x) for kv in argv.items() for x in kv)])
+    assert code == 1
+    assert capsys.readouterr().err == f"sdprel: {bad}: line 2: not valid UTF-8\n"

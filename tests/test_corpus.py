@@ -79,6 +79,9 @@ class TestLabelCodec:
             classes = class_labels(regime, DEFAULT_LABELS)
             for i, label in enumerate(classes):
                 assert classes.index(label) == i
+            assert class_labels(regime, DEFAULT_LABELS, True) == tuple(
+                label.reversed() for label in classes
+            )
         assert class_labels(Regime.BLIND, DEFAULT_LABELS) == tuple(DEFAULT_LABELS.all_directed())
         assert [str(label) for label in class_labels(Regime.SIGHTED, DEFAULT_LABELS)] == [
             f"{base}(e1,e2)" for base in DEFAULT_LABELS.bases

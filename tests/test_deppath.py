@@ -221,9 +221,14 @@ class TestInstancePaths:
 
     def test_subject_first_honors_gold_direction(self):
         inst = self._instance(Direction.E2_TO_E1)
-        seq = subject_first_path(inst, singer_parse(), PathMode.LABELED)
+        seq, from_e2 = subject_first_path(inst, singer_parse(), PathMode.LABELED)
         assert seq.texts[0] == "commotion"
         assert seq.texts[-1] == "singer"
+        assert from_e2
+        forward = self._instance(Direction.E1_TO_E2)
+        seq, from_e2 = subject_first_path(forward, singer_parse(), PathMode.LABELED)
+        assert seq == instance_path(forward, singer_parse(), PathMode.LABELED)
+        assert not from_e2
 
     def test_degenerate_and_out_of_range_anchors_rejected(self):
         # RawInstance forbids both; a bare pair of spans reaches the checks

@@ -197,7 +197,7 @@ class TestPredictCorpus:
         model = tiny_model(Regime.SIGHTED, instances=instances)
         preds, _ = predict_corpus(model, instances)
         for inst, p in zip(instances, preds):
-            seq = subject_first_path(inst.raw, inst.parse, model.mode)
+            seq, _ = subject_first_path(inst.raw, inst.parse, model.mode)
             probs, _ = forward(model.params, model.hp, model.vocab.indexify(seq))
             assert np.allclose(p.fwd_probs, probs, rtol=0, atol=1e-12)
             assert p.final.base == [*model.labels.bases, "Other"][int(np.argmax(probs))]
@@ -252,6 +252,21 @@ class TestPredictCorpus:
                 assert b.final.direction is not a.final.direction
 
 
+def test_sighted_swapped_nominals_give_the_same_probabilities_and_the_reversed_label():
+    # Swapping e1 and e2 and reversing the gold label keeps the subject-first
+    # path; only whether it starts at e2 flips.
+    instances = [i for i in aligned_corpus(40, seed=14) if not i.raw.label.is_other]
+    swapped = [type(i)(with_swapped_spans(i.raw), i.parse) for i in instances]
+    model = tiny_model(Regime.SIGHTED, instances=instances)
+    original, _ = predict_corpus(model, instances)
+    mirrored, _ = predict_corpus(model, swapped)
+    assert {Direction.E1_TO_E2, Direction.E2_TO_E1} <= {p.final.direction for p in original}
+    for a, b in zip(original, mirrored):
+        assert np.array_equal(a.fwd_probs, b.fwd_probs)
+        assert b.final == a.final.reversed()
+        assert b.confidence == a.confidence
+
+
 def matmul_reference(model, instances, fail_ids):
     """Per-instance predictions through the matmul forward, one instance at a time."""
     preds = []
@@ -259,8 +274,10 @@ def matmul_reference(model, instances, fail_ids):
         if inst.raw.id in fail_ids:
             preds.append(Prediction(inst.raw.id, None, None, OTHER_LABEL, 0.0, failed=True))
             continue
-        path_of = subject_first_path if model.regime is Regime.SIGHTED else instance_path
-        seq = path_of(inst.raw, inst.parse, model.mode)
+        if model.regime is Regime.SIGHTED:
+            seq, _ = subject_first_path(inst.raw, inst.parse, model.mode)
+        else:
+            seq = instance_path(inst.raw, inst.parse, model.mode)
         fwd, _ = forward(model.params, model.hp, model.vocab.indexify(seq))
         k = int(np.argmax(fwd))
         if model.regime is Regime.BLIND:

@@ -158,3 +158,21 @@ def test_non_finite_parameter_names_the_path_and_the_block(tmp_path, capsys, blo
     code, err = _predict_with(path, tmp_path, capsys)
     assert code == 1
     assert err == [f"sdprel: model file {path}: block {block} holds a non-finite value"]
+
+
+@pytest.mark.parametrize("change", [-3, 1])
+def test_embedding_columns_must_match_the_vocabulary(tmp_path, capsys, change):
+    path = tmp_path / "model.json"
+    model = small_model()
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    n = len(model.vocab)
+    doc["params"]["We"] = [(row + [0.0] * change)[: n + change] for row in doc["params"]["We"]]
+    path.write_text(json.dumps(doc))
+    expected = f"model file {path}: We has {n + change} columns but the vocabulary has {n} items"
+    with pytest.raises(ValueError) as caught:
+        load_model(path)
+    assert str(caught.value) == expected
+    code, err = _predict_with(path, tmp_path, capsys)
+    assert code == 1
+    assert err == [f"sdprel: {expected}"]

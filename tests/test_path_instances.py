@@ -17,7 +17,8 @@ from sdprel.training import (
     NegativeScheme, PathInstance, Provenance, TrainConfig, build_path_instances, to_labeled,
 )
 from reference_path import build_graph, encode_path, shortest_path
-from synth import aligned_corpus
+from synth import SYNTH_LABELS, aligned_corpus
+from writers import with_swapped_spans
 
 CONFIGS = {
     Regime.BLIND: TrainConfig(regime=Regime.BLIND, negatives=NegativeScheme.NONE),
@@ -143,7 +144,8 @@ def test_to_labeled_one_hots_the_class_index_of_each_label(regime, expected):
     seq = NodeSequence(("a", "→", "nsubj", "b"), PathMode.LABELED)
     path_instances = [
         PathInstance(1, seq, labels.parse("RelB(e1,e2)")),
-        PathInstance(2, seq, labels.parse("RelB(e2,e1)")),
+        # a sighted gold (e2,e1) path starts at e2; a blind path never does
+        PathInstance(2, seq, labels.parse("RelB(e2,e1)"), from_e2=regime is not Regime.BLIND),
         PathInstance(2, seq, OTHER_LABEL, Provenance.NEG_REVERSED),
         PathInstance(3, seq, OTHER_LABEL),
     ]
@@ -154,3 +156,22 @@ def test_to_labeled_one_hots_the_class_index_of_each_label(regime, expected):
     assert all(inst.indices == vocab.indexify(seq) for inst in out)
     for inst, k in zip(out, expected):
         assert np.array_equal(inst.target, np.eye(K)[k])
+
+
+@pytest.mark.parametrize("regime", [Regime.SIGHTED, Regime.SIGHTED_NS])
+def test_swapped_nominals_give_the_same_paths_and_targets(regime):
+    # Swapping e1 and e2 and reversing the gold label keeps every path and
+    # target; only whether each path starts at e2 flips.
+    instances = [i for i in aligned_corpus(30, seed=15) if not i.raw.label.is_other]
+    swapped = [replace(i, raw=with_swapped_spans(i.raw)) for i in instances]
+    original, _ = build_path_instances(instances, CONFIGS[regime])
+    mirrored, _ = build_path_instances(swapped, CONFIGS[regime])
+    assert [p.seq for p in original] == [p.seq for p in mirrored]
+    assert [p.from_e2 for p in original] == [not p.from_e2 for p in mirrored]
+    assert {p.from_e2 for p in original} == {False, True}
+    if regime is Regime.SIGHTED_NS:  # each gold path is followed by its reversed negative
+        assert [p.from_e2 for p in original[1::2]] == [not p.from_e2 for p in original[::2]]
+    vocab = build_vocab(p.seq for p in original)
+    for a, b in zip(*(to_labeled(p, vocab, SYNTH_LABELS, regime) for p in (original, mirrored))):
+        assert a.indices == b.indices
+        assert np.array_equal(a.target, b.target)
