@@ -17,7 +17,7 @@ from .corpus import (
     load_label_set,
     parse_semeval_file,
     read_conll,
-    read_text,
+    read_lines,
 )
 from .deppath import PathError, PathMode, format_path_line, instance_path
 from .infer_eval import macro_f1, predict_corpus, read_predictions, write_predictions
@@ -141,7 +141,7 @@ def _cmd_predict(args) -> int:
 
 
 def _looks_like_semeval(path: str) -> bool:
-    for line in read_text(path).splitlines():
+    for line in read_lines(path):
         if line.strip():
             return '\t"' in line
     return False

@@ -38,12 +38,17 @@ class CorpusError(ValueError):
     """Malformed corpus file or failed raw/parse alignment."""
 
 
-def read_text(path: str | Path, error: type[ValueError] = CorpusError) -> str:
-    """The text of a UTF-8 file; bytes that do not decode raise ``error``
-    naming the file and the 1-based line they are on."""
+def read_lines(path: str | Path, error: type[ValueError] = CorpusError) -> list[str]:
+    """The lines of a UTF-8 file, ended only at ``\\n`` (``\\r\\n`` counts as one end).
+
+    ``str.splitlines`` would also end a line at a form feed, U+2028 and other
+    separators that can stand inside a line.  Bytes that do not decode raise
+    ``error`` naming the file and the 1-based line they are on, counted the
+    same way.
+    """
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").replace("\r\n", "\n").split("\n")
     except UnicodeDecodeError as e:
         line = data.count(b"\n", 0, e.start) + 1
         raise error(f"{path}: line {line}: not valid UTF-8") from None
@@ -62,7 +67,7 @@ def parse_lines(
     leading blanks) are skipped too.
     """
     out = []
-    for n, line in enumerate(read_text(path, error).splitlines(), start=1):
+    for n, line in enumerate(read_lines(path, error), start=1):
         stripped = line.strip()
         if not stripped or (comments and stripped.startswith("#")):
             continue
@@ -339,7 +344,7 @@ def parse_semeval_file(path: str | Path, labels: LabelSet = DEFAULT_LABELS) -> l
     """
     instances: list[RawInstance] = []
     seen_ids: set[int] = set()
-    lines = read_text(path).splitlines()
+    lines = read_lines(path)
     i = 0
     while i < len(lines):
         line = lines[i]
@@ -391,7 +396,7 @@ def read_conll(path: str | Path) -> list[ParsedSentence]:
     heads: list[int | None] = []
     deprels: list[str] = []
     ordinal = first = 1
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line or line.isspace():
             if forms:
                 sentences.append(_finish_sentence(forms, heads, deprels, path, ordinal, first))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable
 
@@ -59,7 +60,7 @@ class Vocab:
 
     def indexify(self, s: NodeSequence) -> tuple[int, ...]:
         """Node-by-node index lookup; unseen strings map to the unknown bucket."""
-        return tuple(map(self.lookup, s.texts))
+        return tuple(map(self._index.get, s.texts, repeat(UNK_INDEX)))  # type: ignore[attr-defined]
 
 
 def build_vocab(sequences: Iterable[NodeSequence], min_count: int = 1) -> Vocab:

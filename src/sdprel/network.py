@@ -20,7 +20,9 @@ every ``P_b`` for a fixed set of ids, built once for fixed parameters, and
 instead of gathering windows and multiplying by W1.  Its probabilities
 match the matmul path to about 1e-16 (tests hold them to 1e-12), not bit
 for bit, because the sum over the d·w window entries is split per slot.
-A table-built cache has no window matrix, so ``backward`` rejects it.
+Prediction reads only the pooled values, so the table path pools with a
+max and records no argmax positions.  A table-built cache has neither a
+window matrix nor positions, so ``backward`` rejects it.
 """
 
 from __future__ import annotations
@@ -146,10 +148,10 @@ def init_network_params(hp: Hyperparams, We: np.ndarray, seed: int) -> NetworkPa
 class ForwardCache:
     """Intermediate values forward saves for the backward pass."""
 
-    indices: tuple[int, ...]
+    indices: Sequence[int]  # a tuple; from a table, the sequence as given
     X: np.ndarray | None   # d*w x t window matrix, C-contiguous; None from a table
     Z: np.ndarray          # n1 x t convolution output
-    argmax: np.ndarray     # n1, pooled column index per filter
+    argmax: np.ndarray | None  # n1, pooled column index per filter; None from a table
     pooled: np.ndarray     # n1
     hidden: np.ndarray     # n2, tanh output
     combined: np.ndarray   # n2 + f, hidden with lexical features appended
@@ -210,7 +212,7 @@ class ConvTable:
         t = len(indices)
         if t < 1:
             raise ValueError("empty index sequence")
-        rows = np.searchsorted(self.ids, indices)
+        rows = self.ids.searchsorted(indices)
         missing = self.ids.take(rows, mode="clip") != indices
         if missing.any():
             raise ValueError(f"index {indices[missing][0]} is not in the projection table")
@@ -248,10 +250,12 @@ def forward(
     """Run the network on one indexed path, returning class probabilities.
 
     With a ``table`` built from these parameters, the convolution reads the
-    table's slot projections instead of gathering the window matrix, and
-    the cache it returns has ``X = None``; an index the table does not hold
-    raises ValueError.  Max pooling keeps the lowest position on ties either
-    way, and every layer after it is the same code.
+    table's slot projections instead of gathering the window matrix, max
+    pooling takes each filter's maximum without its position, and the cache
+    it returns has ``X = argmax = None``; an index the table does not hold
+    raises ValueError.  Without a table, max pooling records each filter's
+    position for ``backward``, the lowest on ties.  Either way a filter pools
+    its maximum, and every layer after pooling is the same code.
 
     Raises NumericError naming the first non-finite layer ('convolution',
     'hidden' or 'scores') exactly when the per-layer checks would.  The
@@ -266,16 +270,17 @@ def forward(
         raise ValueError(f"lexical feature shape {lexfeat.shape}, expected ({hp.f},)")
 
     if table is None:
+        indices = tuple(indices)
         X = window_concat(indices, params.We, hp.w)
         Z = params.W1 @ X
         Z += params.b1[:, None]
         argmax = np.argmax(Z, axis=1)  # ties resolve to the lowest column
+        pooled = Z[np.arange(hp.n1), argmax]
     else:
-        X = None
+        X = argmax = None
         ZT = table.convolve(indices, params.b1)
-        argmax = ZT.argmax(axis=0)  # ties resolve to the lowest position
+        pooled = ZT.max(axis=0)
         Z = ZT.T
-    pooled = Z[np.arange(hp.n1), argmax]
     hidden = np.tanh(params.W2 @ pooled + params.b2)
     combined = hidden if lexfeat is None else np.concatenate([hidden, lexfeat])
     scores = params.W3 @ combined + params.b3
@@ -283,7 +288,7 @@ def forward(
         for value, layer in ((Z, "convolution"), (hidden, "hidden"), (scores, "scores")):
             _check_finite(value, layer)
     probs = softmax(scores)
-    cache = ForwardCache(tuple(indices), X, Z, argmax, pooled, hidden, combined, probs)
+    cache = ForwardCache(indices, X, Z, argmax, pooled, hidden, combined, probs)
     return probs, cache
 
 
@@ -334,9 +339,10 @@ def backward(
     column; every other embedding column has zero gradient and is left out.
 
     Raises NumericError naming 'gradients' when any block holds a
-    non-finite value.  The fast check tests the sum of all blocks; only a
-    non-finite (or overflowing) sum runs the per-block ``_check_finite``
-    calls.
+    non-finite value.  The fast check adds every block's sum of squares (a
+    BLAS dot product) as Python floats, so an overflow reads inf without a
+    warning; only a non-finite (or overflowing) sum runs the per-block
+    ``_check_finite`` calls.
     """
     params.check_shapes(hp)
     if cache.X is None:
@@ -377,7 +383,7 @@ def backward(
     dWe_cols += (2.0 * hp.lambda_we) * params.We[:, cols].T
 
     grads = NetworkParams(dWe_cols.T, dW1, dpooled, dW2, dpre, dW3, dscores)
-    if not np.isfinite(sum(block.sum() for block in grads.blocks())):
+    if not math.isfinite(sum(float(np.vdot(block, block)) for block in grads.blocks())):
         for block in grads.blocks():
             _check_finite(block, "gradients")
     return grads

@@ -7,7 +7,7 @@ import pytest
 
 from sdprel.cli import main
 from sdprel.model import Regime
-from sdprel.training import ConfigError, TrainConfig, config_from_mapping
+from sdprel.training import ConfigError, TrainConfig, config_from_mapping, parse_config_file
 
 BAD_VALUES = [
     ("d", "abc", ["'d'", "'abc'", "int"]),
@@ -99,3 +99,11 @@ def test_every_field_is_a_key_and_parses_to_its_default():
 def test_names_that_are_not_fields_are_unknown_keys(key):
     with pytest.raises(ConfigError, match=f"unknown configuration key '{key}'"):
         config_from_mapping({key: "1"})
+
+
+def test_a_form_feed_inside_a_line_does_not_move_later_line_numbers(tmp_path):
+    path = tmp_path / "train.cfg"
+    path.write_text("d = 8\f\nno equals sign\n", encoding="utf-8")
+    message = f"{path}: line 2: expected 'key = value'"
+    with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+        parse_config_file(path)

@@ -96,3 +96,15 @@ def test_root_and_cycle_errors_name_the_sentences_first_line(tmp_path, sentence,
     message = f"{path}: sentence 3, line 6: {fault}"
     with pytest.raises(CorpusError, match="^" + re.escape(message) + "$"):
         read_conll(path)
+
+
+def test_crlf_lines_read_as_lf_lines(tmp_path):
+    path = _conll(tmp_path / "t.conll", [("a", 2), ("b", 0)], [("c", 0)])
+    want = read_conll(path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert read_conll(path) == want
+    assert want[0].deprels == ("dep", "dep")
+    path.write_bytes(path.read_bytes().replace(b"\t0\tdep\r\n\r\n", b"\tx\tdep\r\n\r\n"))
+    message = f"{path}: sentence 1, line 2: non-integer HEAD 'x'"
+    with pytest.raises(CorpusError, match="^" + re.escape(message) + "$"):
+        read_conll(path)

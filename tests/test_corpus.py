@@ -112,6 +112,21 @@ class TestParseLines:
             parse_lines(path, int, Custom)
 
 
+    @pytest.mark.parametrize("separator", "\f\v\x1c\x1d\x1e\x85\u2028\u2029")
+    def test_only_newline_ends_a_line(self, tmp_path, separator):
+        path = tmp_path / "lines.txt"
+        def no_x(line):
+            if line == "x":
+                raise ValueError("x")
+            return line
+
+        path.write_text(f"1{separator}2\r\n3\n", encoding="utf-8")
+        assert parse_lines(path, no_x) == [f"1{separator}2", "3"]
+        path.write_text(f"1{separator}2\r\nx\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=r"line 2: x$"):
+            parse_lines(path, no_x)
+
+
 class TestSemevalParsing:
     def test_singer_example(self, tmp_path):
         path = tmp_path / "corpus.txt"

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import reference_table
 import sdprel.infer_eval as infer_eval
 from sdprel.cli import main
 from sdprel.corpus import Direction, DirectedLabel, LabelSet, OTHER_LABEL
@@ -13,10 +14,9 @@ from sdprel.deppath import (
     PathError,
     PathMode,
     instance_path,
-    reverse_path,
     subject_first_path,
 )
-from sdprel.embeddings import build_vocab, init_embeddings
+from sdprel.embeddings import UNK_INDEX, build_vocab, init_embeddings
 from sdprel.infer_eval import (
     Prediction,
     combine,
@@ -25,7 +25,7 @@ from sdprel.infer_eval import (
     read_predictions,
     write_predictions,
 )
-from sdprel.model import Regime, TrainedModel, load_model, save_model
+from sdprel.model import Regime, TrainedModel, class_labels, load_model, save_model
 from sdprel.network import Hyperparams, forward, init_network_params
 from synth import SYNTH_LABELS, aligned_corpus, write_corpus
 from writers import with_swapped_spans
@@ -274,11 +274,8 @@ def matmul_reference(model, instances, fail_ids):
         if inst.raw.id in fail_ids:
             preds.append(Prediction(inst.raw.id, None, None, OTHER_LABEL, 0.0, failed=True))
             continue
-        if model.regime is Regime.SIGHTED:
-            seq, _ = subject_first_path(inst.raw, inst.parse, model.mode)
-        else:
-            seq = instance_path(inst.raw, inst.parse, model.mode)
-        fwd, _ = forward(model.params, model.hp, model.vocab.indexify(seq))
+        paths = reference_table.indexed_paths(model, inst)
+        fwd, _ = forward(model.params, model.hp, paths[0])
         k = int(np.argmax(fwd))
         if model.regime is Regime.BLIND:
             final = SYNTH_LABELS.all_directed()[k]
@@ -290,7 +287,7 @@ def matmul_reference(model, instances, fail_ids):
             final = OTHER_LABEL if base == OTHER_LABEL.base else DirectedLabel(base, direction)
             preds.append(Prediction(inst.raw.id, fwd, None, final, fwd[k]))
         else:
-            rev, _ = forward(model.params, model.hp, model.vocab.indexify(reverse_path(seq)))
+            rev, _ = forward(model.params, model.hp, paths[1])
             preds.append(Prediction(inst.raw.id, fwd, rev, *combine(fwd, rev, SYNTH_LABELS)))
     return preds
 
@@ -329,6 +326,43 @@ def test_chunked_predictions_match_the_matmul_reference(monkeypatch, regime, pat
 
     assert failed == len(fail_ids)
     assert_matches_reference(got, want, instances)
+
+
+@pytest.mark.parametrize("w", [1, 3])
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("seed", range(4))
+def test_probabilities_equal_the_argmax_gather_reference_bit_for_bit(regime, w, seed):
+    rng = np.random.default_rng(seed)
+    instances = aligned_corpus(CHUNK + int(rng.integers(1, 20)), seed=30 + seed)
+    # A vocabulary from three sentences sends most nodes to <unk>, so ids
+    # repeat within a path; at w=1 a repeated id repeats a whole ZT row.
+    seqs = [instance_path(i.raw, i.parse, PathMode.LABELED) for i in instances[:3]]
+    vocab = build_vocab(seqs)
+    f = int(rng.choice([0, 2]))
+    hp = Hyperparams(
+        d=int(rng.integers(1, 5)), w=w, n1=int(rng.integers(1, 7)),
+        n2=int(rng.integers(1, 5)), K=len(class_labels(regime, SYNTH_LABELS)), f=f,
+    )
+    We, _ = init_embeddings(vocab, None, hp.d, seed)
+    params = init_network_params(hp, We, seed + 1)
+    # <unk> points along filter 0's middle slot and outreaches every other
+    # embedding, so at w=1 filter 0 pools it, and a path holding it twice
+    # ties there exactly.
+    mid = params.W1[0, (w // 2) * hp.d : (w // 2 + 1) * hp.d]
+    params.We[:, UNK_INDEX] = mid * (hp.d / (mid @ mid))
+    model = TrainedModel(hp, vocab, SYNTH_LABELS, PathMode.LABELED, regime, params)
+    lexfeats = {i.raw.id: rng.normal(size=f) for i in instances[::2]} if f else None
+    want = reference_table.predict_probs(model, instances, lexfeats)
+    assert any(p.count(UNK_INDEX) > 1 for inst in instances
+               for p in reference_table.indexed_paths(model, inst))
+
+    got, failed = predict_corpus(model, instances, lexfeats)
+
+    assert failed == 0
+    for g, probs in zip(got, want, strict=True):
+        assert np.array_equal(g.fwd_probs, probs[0])
+        assert (g.rev_probs is None) == (len(probs) == 1)
+        assert g.rev_probs is None or np.array_equal(g.rev_probs, probs[1])
 
 
 def test_ids_only_the_reverse_path_holds_are_in_the_table():

@@ -243,6 +243,15 @@ def test_overflowing_sum_falls_back_without_raising(monkeypatch):
     assert calls == ["convolution", "hidden", "scores"]
 
 
+def test_overflowing_gradient_squares_fall_back_without_raising(monkeypatch):
+    calls = count_checks(monkeypatch)
+    hp, params, target = small_case(lambda_w1=1e200)
+    _, cache = forward(params, hp, [2, 3, 4])
+    grads = backward(cache, target, params, hp)
+    assert np.all(np.isfinite(grads.W1)) and np.isinf(np.vdot(grads.W1, grads.W1))
+    assert calls == ["gradients"] * 7
+
+
 @pytest.mark.parametrize("block, layer", [("W2", "hidden"), ("W3", "scores")])
 def test_nonfinite_layer_is_named(block, layer):
     hp, params, _ = small_case()
