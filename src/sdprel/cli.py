@@ -19,7 +19,7 @@ from .corpus import (
     read_conll,
     read_lines,
 )
-from .deppath import PathError, PathMode, format_path_line, instance_path
+from .deppath import PathMode, format_path_line, instance_path
 from .infer_eval import macro_f1, predict_corpus, read_predictions, write_predictions
 from .model import load_model, save_model
 from .network import NumericError, grad_check
@@ -112,9 +112,6 @@ def _cmd_train(args) -> int:
     save_model(model, args.out)
     history_path = args.history or args.out + ".history"
     write_history(history, history_path)
-    if info["skipped"]:
-        print(f"skipped {len(info['skipped'])} instances without a usable path",
-              file=sys.stderr)
     best = max((h.dev_f1 for h in history), default=float("nan"))
     print(f"trained {len(history)} epochs on {info['n_train']} examples "
           f"({info['n_negatives']} negatives), vocab {info['vocab_size']}")
@@ -132,10 +129,8 @@ def _cmd_predict(args) -> int:
         raise ConfigError(f"{source} gives lexical features of length {f}, "
                           f"but model {args.model} has f = {model.hp.f}")
     instances = _load_aligned(args.sem, args.conll, model.labels)
-    predictions, failed = predict_corpus(model, instances, lexfeats=lexfeats)
+    predictions, _ = predict_corpus(model, instances, lexfeats=lexfeats)
     write_predictions(predictions, args.out)
-    if failed:
-        print(f"{failed} instances had no usable path; predicted Other", file=sys.stderr)
     print(f"wrote {len(predictions)} predictions to {args.out}")
     return 0
 
@@ -170,19 +165,12 @@ def _cmd_extract_paths(args) -> int:
     labels = load_label_set(args.labels) if args.labels else DEFAULT_LABELS
     instances = _load_aligned(args.sem, args.conll, labels)
     mode = PathMode(args.mode)
-    lines = []
-    skipped = 0
-    for inst in instances:
-        try:
-            seq = instance_path(inst.raw, inst.parse, mode)
-        except PathError as e:
-            print(f"skipping instance {inst.raw.id}: {e}", file=sys.stderr)
-            skipped += 1
-            continue
-        lines.append(format_path_line(inst.raw.id, seq))
+    lines = [
+        format_path_line(inst.raw.id, instance_path(inst.raw, inst.parse, mode))
+        for inst in instances
+    ]
     Path(args.out).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    print(f"wrote {len(lines)} paths to {args.out}"
-          + (f" ({skipped} skipped)" if skipped else ""))
+    print(f"wrote {len(lines)} paths to {args.out}")
     return 0
 
 

@@ -371,10 +371,7 @@ def parse_semeval_file(path: str | Path, labels: LabelSet = DEFAULT_LABELS) -> l
         i += 1
         while i < len(lines) and lines[i].startswith("Comment"):
             i += 1
-        try:
-            instances.append(RawInstance(inst_id, tokens, e1_span, e2_span, label))
-        except ValueError as e:
-            raise CorpusError(f"{where}: {e}") from None
+        instances.append(RawInstance(inst_id, tokens, e1_span, e2_span, label))
     return instances
 
 

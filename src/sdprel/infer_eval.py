@@ -30,7 +30,11 @@ class Prediction:
     rev_probs: np.ndarray | None
     final: DirectedLabel
     confidence: float
-    failed: bool = False
+
+    @property
+    def failed(self) -> bool:
+        """Whether the path could not be extracted, so Other was predicted."""
+        return self.fwd_probs is None
 
 
 def combine(
@@ -134,7 +138,7 @@ def _predict_chunk(
     ids = [a for p in paths if p is not None for a in p[:2] if a is not None]
     table = ConvTable(model.params, model.hp, np.concatenate(ids) if ids else ())
     return [
-        Prediction(inst.raw.id, None, None, OTHER_LABEL, 0.0, failed=True)
+        Prediction(inst.raw.id, None, None, OTHER_LABEL, 0.0)
         if path is None
         else _predict(model, inst, *path, lexfeats, table)
         for inst, path in zip(chunk, paths)

@@ -71,7 +71,7 @@ class TrainConfig:
     The configuration-file keys are the field names, and each value is
     parsed by the field's type (``config_from_mapping``).  Defaults follow
     the reference setup: window 3, 200 convolution filters, 100 hidden
-    units, per-matrix regularization (1e-4, 1e-3, 1e-4, 2e-3),
+    units, the per-matrix regularization weights of ``Hyperparams``,
     50-dimensional embeddings.  With ``negatives = pool``, ``pool_path``
     names a file of encoded paths in the ``sdprel extract-paths`` output
     format; each one becomes an Other-labeled training example.
@@ -85,10 +85,10 @@ class TrainConfig:
     w: int = 3
     n1: int = 200
     n2: int = 100
-    lambda_we: float = 1e-4
-    lambda_w1: float = 1e-3
-    lambda_w2: float = 1e-4
-    lambda_w3: float = 2e-3
+    lambda_we: float = Hyperparams.lambda_we
+    lambda_w1: float = Hyperparams.lambda_w1
+    lambda_w2: float = Hyperparams.lambda_w2
+    lambda_w3: float = Hyperparams.lambda_w3
     learning_rate: float = 0.01
     epsilon: float = 1e-6
     max_epochs: int = 100

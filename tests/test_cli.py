@@ -1,6 +1,9 @@
 """The command-line interface end to end: every command on a small synthetic
 corpus, the exit-code contract, and input errors that name the file and line."""
 
+import runpy
+import sys
+
 import pytest
 
 from sdprel.cli import main
@@ -75,6 +78,17 @@ def test_gradcheck_exits_0(capsys):
     assert capsys.readouterr().out.rstrip().endswith("PASS")
 
 
+def test_python_dash_m_runs_main_and_exits_with_its_code(monkeypatch, capsys):
+    # Run in this process, as ``python -m sdprel.cli gradcheck`` would; the
+    # imported copy is set aside so that runpy executes the module afresh.
+    monkeypatch.delitem(sys.modules, "sdprel.cli")
+    monkeypatch.setattr(sys, "argv", ["sdprel", "gradcheck"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("sdprel.cli", run_name="__main__")
+    assert info.value.code == 0
+    assert capsys.readouterr().out.rstrip().endswith("PASS")
+
+
 @pytest.mark.parametrize("argv", [["train", "--bogus"], ["frobnicate"], ["gradcheck", "--seed", "x"]])
 def test_bad_flag_exits_1_not_2(argv, capsys):
     with pytest.raises(SystemExit) as info:
@@ -97,6 +111,19 @@ def test_train_input_errors_name_the_file_and_line(files, tmp_path, capsys, whic
     assert train(files, tmp_path / "model.json") == 1
     err = capsys.readouterr().err
     assert f"{files[which]}: {expected}" in err
+
+
+def test_set_without_an_equals_sign_exits_1_naming_it(files, tmp_path, capsys):
+    assert train(files, tmp_path / "model.json", "--set", "d8") == 1
+    assert "sdprel: --set expects KEY=VALUE, got 'd8'" in capsys.readouterr().err
+
+
+def test_an_empty_training_corpus_exits_1(files, tmp_path, capsys):
+    for which in ("train-sem", "train-conll"):
+        files[which].write_text("", encoding="utf-8")
+    assert train(files, tmp_path / "model.json") == 1
+    assert "sdprel: no usable training instances" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
 
 
 @pytest.mark.parametrize("text, expected", [
@@ -127,6 +154,23 @@ def test_score_prediction_errors_name_the_file_and_line(files, tmp_path, capsys,
                  "--labels", str(files["labels"])])
     assert code == 1
     assert f"{pred}: {expected}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gold_text, example", [
+    ("1\tOther\n2\tOther\n", "[2, 3]"),
+    ("\n  \n", "[1, 3]"),  # a blank file is read as an empty predictions-format file
+])
+def test_score_rejects_ids_that_gold_and_predictions_do_not_share(
+    files, tmp_path, capsys, gold_text, example
+):
+    gold = tmp_path / "gold.txt"
+    gold.write_text(gold_text, encoding="utf-8")
+    pred = tmp_path / "pred.txt"
+    pred.write_text("1\tOther\n3\tOther\n", encoding="utf-8")
+    code = main(["score", "--gold", str(gold), "--pred", str(pred),
+                 "--labels", str(files["labels"])])
+    assert code == 1
+    assert capsys.readouterr().err == f"sdprel: gold/prediction id mismatch, e.g. {example}\n"
 
 
 @pytest.mark.parametrize("which", ["gold", "pred"])
@@ -244,18 +288,25 @@ def test_predict_checks_the_lexical_feature_length_against_the_model(files, tmp_
             f"but model {plain} has f = 0") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, message", [
+    ("directory", "is a directory, not a file"),
+    ("absent", "no such file"),
+])
 @pytest.mark.parametrize("command", ["train", "predict", "score"])
-def test_a_directory_given_as_an_input_file_exits_1_naming_it(files, tmp_path, capsys, command):
-    folder = tmp_path / "folder"
-    folder.mkdir()
+def test_a_directory_or_absent_input_file_exits_1_naming_it(
+    files, tmp_path, capsys, command, kind, message
+):
+    bad = tmp_path / kind
+    if kind == "directory":
+        bad.mkdir()
     if command == "train":
-        code = train({**files, "config": folder}, tmp_path / "model.json")
+        code = train({**files, "config": bad}, tmp_path / "model.json")
     elif command == "predict":
-        code = predict(files, folder, tmp_path / "pred.txt")
+        code = predict(files, bad, tmp_path / "pred.txt")
     else:
-        code = main(["score", "--gold", str(folder), "--pred", str(files["test-sem"])])
+        code = main(["score", "--gold", str(bad), "--pred", str(files["test-sem"])])
     assert code == 1
-    assert f"sdprel: is a directory, not a file: {folder}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"sdprel: {message}: {bad}\n"
 
 
 NOT_UTF8 = b"1\tfine\n\xff\n"  # the second line does not decode

@@ -59,8 +59,16 @@ def test_cli_exits_1_with_the_key_in_the_message(tmp_path, capsys, key, value, e
     ("epsilon", "0", "sdprel: epsilon must be finite and > 0, got 0.0"),
     ("epsilon", "-1", "sdprel: epsilon must be finite and > 0, got -1.0"),
     ("seed", "-1", "sdprel: seed must be >= 0, got -1"),
+    ("max_epochs", "0", "sdprel: max_epochs and patience must be >= 1"),
+    ("patience", "0", "sdprel: max_epochs and patience must be >= 1"),
+    ("regime", "blind", "sdprel: negatives=reversed requires regime=sighted-ns "
+                        "(and vice versa); got regime=blind"),
+    ("negatives", "none", "sdprel: negatives=none requires regime=sighted-ns "
+                          "(and vice versa); got regime=sighted-ns"),
+    ("negatives", "pool", "sdprel: pool_path must be set exactly when negatives=pool"),
+    ("pool_path", "pool.paths", "sdprel: pool_path must be set exactly when negatives=pool"),
 ])
-def test_bad_network_size_or_weight_names_the_key_before_any_corpus_is_read(
+def test_bad_or_inconsistent_value_names_the_key_before_any_corpus_is_read(
     tmp_path, capsys, key, value, expected
 ):
     with pytest.raises(ConfigError, match=re.escape(expected.removeprefix("sdprel: "))):

@@ -98,6 +98,16 @@ def test_root_and_cycle_errors_name_the_sentences_first_line(tmp_path, sentence,
         read_conll(path)
 
 
+def test_a_last_sentence_without_a_line_end_reads_like_one_with_a_blank_line(tmp_path):
+    path = _conll(tmp_path / "t.conll", [("a", 2), ("b", 0)], [("c", 0)])
+    text = path.read_text()
+    path.write_text(text + "\n")
+    want = read_conll(path)
+    assert [s.forms for s in want] == [("a", "b"), ("c",)]
+    path.write_text(text.rstrip("\n"))
+    assert read_conll(path) == want
+
+
 def test_crlf_lines_read_as_lf_lines(tmp_path):
     path = _conll(tmp_path / "t.conll", [("a", 2), ("b", 0)], [("c", 0)])
     want = read_conll(path)

@@ -92,6 +92,18 @@ class TestLabelCodec:
         path.write_text("RelA\nRelB\n")
         assert load_label_set(path) == LabelSet(("RelA", "RelB"))
 
+    @pytest.mark.parametrize("text, fault", [
+        ("RelA\nOther\n", "'Other' is implicit and must not be listed"),
+        ("# no relations\n\n", "empty label set"),
+    ])
+    def test_a_label_set_file_that_lists_other_or_nothing_is_rejected(
+        self, tmp_path, text, fault
+    ):
+        path = tmp_path / "labels.txt"
+        path.write_text(text)
+        with pytest.raises(CorpusError, match="^" + re.escape(f"{path}: {fault}") + "$"):
+            load_label_set(path)
+
 
 class TestParseLines:
     def test_blank_lines_skipped_and_comments_only_when_asked(self, tmp_path):
@@ -161,6 +173,30 @@ class TestSemevalParsing:
         path = tmp_path / "corpus.txt"
         path.write_text('1\t"The <e1>singer</e1> caused a commotion."\nOther\n')
         with pytest.raises(CorpusError, match=r"line 1.*e2"):
+            parse_semeval_file(path)
+
+    @pytest.mark.parametrize("sentence, fault", [
+        ("The <e1>singer</e1> and <e1>band</e1> caused a <e2>commotion</e2>.",
+         "repeated entity markers"),
+        ("The <e1>singer</e1> caused <e2>a</e2> <e2>commotion</e2>.",
+         "repeated entity markers"),
+        ("The <e1>singer <e2>caused</e1> a commotion</e2>.", "overlapping entity markers"),
+        ("The <e1></e1> caused a <e2>commotion</e2>.", "empty entity text"),
+        ("The <e1>singer</e1> caused a <e2> </e2>.", "empty entity text"),
+    ])
+    def test_bad_entity_markers_name_the_line(self, tmp_path, sentence, fault):
+        path = tmp_path / "corpus.txt"
+        path.write_text(SINGER_RECORD + f'\n2\t"{sentence}"\nOther\n')
+        with pytest.raises(CorpusError, match="^" + re.escape(f"{path}: line 4: {fault}") + "$"):
+            parse_semeval_file(path)
+
+    @pytest.mark.parametrize("after", ["", "\n", "\n\n" + SINGER_RECORD.replace("1", "2", 1)])
+    def test_a_record_without_a_label_line_names_its_line(self, tmp_path, after):
+        path = tmp_path / "corpus.txt"
+        record = SINGER_RECORD.splitlines()[0]
+        path.write_text(SINGER_RECORD + "\n" + record.replace("1", "3", 1) + after)
+        message = f"{path}: line 4: record 3 has no label line"
+        with pytest.raises(CorpusError, match="^" + re.escape(message) + "$"):
             parse_semeval_file(path)
 
     def test_unknown_label_names_line(self, tmp_path):

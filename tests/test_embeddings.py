@@ -1,5 +1,7 @@
 """Vocabulary construction and embedding initialization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,13 @@ class TestInitEmbeddings:
             load_pretrained(path, 3)
         with pytest.raises(EmbeddingError):
             init_embeddings(self._vocab(), path, 3, seed=0)
+
+    def test_non_numeric_entry_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("singer 0.1 0.2 0.3\ncaused 0.1 x 0.3\n")
+        message = f"{path}: line 2: non-numeric vector entry"
+        with pytest.raises(EmbeddingError, match="^" + re.escape(message) + "$"):
+            load_pretrained(path, 3)
 
     def test_coverage_without_word_nodes(self):
         vocab = build_vocab([])

@@ -272,7 +272,7 @@ def matmul_reference(model, instances, fail_ids):
     preds = []
     for inst in instances:
         if inst.raw.id in fail_ids:
-            preds.append(Prediction(inst.raw.id, None, None, OTHER_LABEL, 0.0, failed=True))
+            preds.append(Prediction(inst.raw.id, None, None, OTHER_LABEL, 0.0))
             continue
         paths = reference_table.indexed_paths(model, inst)
         fwd, _ = forward(model.params, model.hp, paths[0])

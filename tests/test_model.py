@@ -176,3 +176,18 @@ def test_embedding_columns_must_match_the_vocabulary(tmp_path, capsys, change):
     code, err = _predict_with(path, tmp_path, capsys)
     assert code == 1
     assert err == [f"sdprel: {expected}"]
+
+
+def test_repeated_vocabulary_items_name_the_path(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    save_model(small_model(), path)
+    doc = json.loads(path.read_text())
+    doc["vocab"]["items"][-1] = doc["vocab"]["items"][2]
+    path.write_text(json.dumps(doc))
+    expected = f"model file {path}: duplicate vocab entries"
+    with pytest.raises(ValueError) as caught:
+        load_model(path)
+    assert str(caught.value) == expected
+    code, err = _predict_with(path, tmp_path, capsys)
+    assert code == 1
+    assert err == [f"sdprel: {expected}"]

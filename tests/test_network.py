@@ -132,6 +132,17 @@ class TestForward:
         hp0 = Hyperparams(d=2, w=1, n1=2, n2=2, K=2)
         with pytest.raises(ValueError):
             forward(random_params(hp0), hp0, [2, 3], np.ones(3))
+        for wrong in (np.ones(2), np.ones(4), np.ones((1, 3))):
+            with pytest.raises(ValueError):
+                forward(params, hp, [2, 3], wrong)
+
+    @pytest.mark.parametrize("with_table", [False, True])
+    def test_an_empty_path_raises_value_error(self, with_table):
+        hp = Hyperparams(d=2, w=3, n1=2, n2=2, K=2)
+        params = random_params(hp)
+        table = ConvTable(params, hp, [2]) if with_table else None
+        with pytest.raises(ValueError):
+            forward(params, hp, [], table=table)
 
     def test_nonfinite_parameters_raise_with_layer_name(self):
         hp = Hyperparams(d=2, w=1, n1=2, n2=2, K=2)

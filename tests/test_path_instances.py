@@ -3,6 +3,7 @@ pool negatives, lexical features, and skipped instances, compared as node
 strings against the breadth-first reference extraction; and the one-hot
 targets that ``to_labeled`` gives their labels."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,8 @@ from sdprel.deppath import NodeSequence, PathError, PathMode, format_path_line, 
 from sdprel.embeddings import build_vocab
 from sdprel.model import Regime
 from sdprel.training import (
-    NegativeScheme, PathInstance, Provenance, TrainConfig, build_path_instances, to_labeled,
+    ConfigError, NegativeScheme, PathInstance, Provenance, TrainConfig, build_path_instances,
+    to_labeled,
 )
 from reference_path import build_graph, encode_path, shortest_path
 from synth import SYNTH_LABELS, aligned_corpus
@@ -107,6 +109,14 @@ def test_pool_paths_come_last_as_other_with_zero_lexical_features(tmp_path):
     ]
     for p in pooled:
         assert np.array_equal(p.lexfeat, np.zeros(2))
+
+
+def test_an_absent_pool_file_is_a_config_error_naming_it(tmp_path):
+    pool_path = tmp_path / "absent.paths"
+    config = TrainConfig(negatives=NegativeScheme.POOL, pool_path=str(pool_path))
+    message = f"cannot read negative pool file {pool_path}: "
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
+        build_path_instances(aligned_corpus(2, seed=5), config)
 
 
 @pytest.mark.parametrize("regime", list(Regime))

@@ -158,6 +158,15 @@ def test_the_blas_thread_count_is_restored_after_a_numeric_error(blas_threads):
     assert blas_threads() == 2
 
 
+def test_no_thread_count_functions_are_found_without_a_bundled_openblas(monkeypatch):
+    monkeypatch.setattr(training.glob, "glob", lambda pattern: [])
+    training._openblas_thread_calls.cache_clear()
+    try:
+        assert training._openblas_thread_calls() is None
+    finally:
+        training._openblas_thread_calls.cache_clear()
+
+
 def test_one_blas_thread_does_nothing_without_the_thread_count_functions(
     blas_threads, monkeypatch
 ):
