@@ -8,10 +8,18 @@ A parse is stored as columns, as the CoNLL file lays it out:
 ``ParsedSentence.forms``, ``.heads`` and ``.deprels`` are equal-length tuples
 whose i-th entries are token i's surface form, its 0-based head index (None
 for the root) and the label of the arc to its head.
+
+Each reader keeps one copy of each distinct string per file: equal tokens,
+forms and arc labels read by one call are one object.  A corpus repeats a
+few thousand forms and a dozen labels over tens of thousands of tokens, so a
+copy per token would hold most of its memory.  The table lives only for the
+call; ``sys.intern`` is not used, because some Python versions keep interned
+strings after their last reference is dropped.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -147,8 +155,15 @@ class LabelSet:
             raise ValueError("empty label set")
 
     def parse(self, text: str) -> DirectedLabel:
-        """Decode a label string such as ``Cause-Effect(e1,e2)`` or ``Other``."""
-        text = text.strip()
+        """Decode a label string such as ``Cause-Effect(e1,e2)`` or ``Other``.
+
+        The same text gives the same object: results are cached, at most
+        2R+1 per label set.  An unknown label raises on every call.
+        """
+        return self._parse_stripped(text.strip())
+
+    @functools.cache
+    def _parse_stripped(self, text: str) -> DirectedLabel:
         if text == OTHER:
             return OTHER_LABEL
         m = _LABEL_RE.fullmatch(text)
@@ -301,36 +316,49 @@ class AlignedInstance:
 # ---------------------------------------------------------------------------
 
 _RECORD_RE = re.compile(r'^(\d+)\t"(.*)"\s*$')
-_E1_RE = re.compile(r"<e1>(.*?)</e1>", re.DOTALL)
-_E2_RE = re.compile(r"<e2>(.*?)</e2>", re.DOTALL)
 
 
-def _tokenize_marked(text: str, where: str) -> tuple[tuple[str, ...], tuple[int, int], tuple[int, int]]:
+def _find_entity(
+    text: str, opening: str, closing: str, start: int = 0
+) -> tuple[int, int] | None:
+    """Start and end of the first ``opening``..``closing`` at or after
+    ``start``, or None: the first opening marker with a closing one after
+    it, closed by the nearest, as a regex search for ``<e1>(.*?)</e1>``."""
+    lo = text.find(opening, start)
+    if lo < 0:
+        return None
+    hi = text.find(closing, lo + len(opening))
+    return None if hi < 0 else (lo, hi + len(closing))
+
+
+def _tokenize_marked(text: str, where: str) -> tuple[list[str], tuple[int, int], tuple[int, int]]:
     """Tokenize a sentence with entity markers, returning tokens and spans."""
-    m1 = _E1_RE.search(text)
-    m2 = _E2_RE.search(text)
+    m1 = _find_entity(text, "<e1>", "</e1>")
+    m2 = _find_entity(text, "<e2>", "</e2>")
     if m1 is None or m2 is None:
         missing = "e1" if m1 is None else "e2"
         raise CorpusError(f"{where}: missing <{missing}>..</{missing}> markers")
-    if _E1_RE.search(text, m1.end()) or _E2_RE.search(text, m2.end()):
+    if _find_entity(text, "<e1>", "</e1>", m1[1]) or _find_entity(text, "<e2>", "</e2>", m2[1]):
         raise CorpusError(f"{where}: repeated entity markers")
-    first, second = (m1, m2) if m1.start() < m2.start() else (m2, m1)
-    if first.end() > second.start():
+    first, second = (m1, m2) if m1[0] < m2[0] else (m2, m1)
+    if first[1] > second[0]:
         raise CorpusError(f"{where}: overlapping entity markers")
 
-    pre = tokenize(text[: first.start()])
-    ent_a = tokenize(first.group(1))
-    mid = tokenize(text[first.end() : second.start()])
-    ent_b = tokenize(second.group(1))
-    post = tokenize(text[second.end() :])
+    # An entity's text lies between its 4-character opening marker and its
+    # 5-character closing one.
+    pre = tokenize(text[: first[0]])
+    ent_a = tokenize(text[first[0] + 4 : first[1] - 5])
+    mid = tokenize(text[first[1] : second[0]])
+    ent_b = tokenize(text[second[0] + 4 : second[1] - 5])
+    post = tokenize(text[second[1] :])
     if not ent_a or not ent_b:
         raise CorpusError(f"{where}: empty entity text")
 
     span_a = (len(pre), len(pre) + len(ent_a) - 1)
     off = span_a[1] + 1 + len(mid)
     span_b = (off, off + len(ent_b) - 1)
-    tokens = tuple(pre + ent_a + mid + ent_b + post)
-    if m1.start() < m2.start():
+    tokens = pre + ent_a + mid + ent_b + post
+    if m1[0] < m2[0]:
         return tokens, span_a, span_b
     return tokens, span_b, span_a
 
@@ -344,6 +372,7 @@ def parse_semeval_file(path: str | Path, labels: LabelSet = DEFAULT_LABELS) -> l
     """
     instances: list[RawInstance] = []
     seen_ids: set[int] = set()
+    share = {}.setdefault  # one object per distinct token of the file
     lines = read_lines(path)
     i = 0
     while i < len(lines):
@@ -371,7 +400,9 @@ def parse_semeval_file(path: str | Path, labels: LabelSet = DEFAULT_LABELS) -> l
         i += 1
         while i < len(lines) and lines[i].startswith("Comment"):
             i += 1
-        instances.append(RawInstance(inst_id, tokens, e1_span, e2_span, label))
+        instances.append(
+            RawInstance(inst_id, tuple(map(share, tokens, tokens)), e1_span, e2_span, label)
+        )
     return instances
 
 
@@ -392,11 +423,14 @@ def read_conll(path: str | Path) -> list[ParsedSentence]:
     forms: list[str] = []
     heads: list[int | None] = []
     deprels: list[str] = []
+    share = {}.setdefault  # one object per distinct form or arc label of the file
     ordinal = first = 1
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line or line.isspace():
             if forms:
-                sentences.append(_finish_sentence(forms, heads, deprels, path, ordinal, first))
+                sentences.append(
+                    _finish_sentence(forms, heads, deprels, share, path, ordinal, first)
+                )
                 forms, heads, deprels = [], [], []
                 ordinal += 1
             continue
@@ -418,18 +452,21 @@ def read_conll(path: str | Path) -> list[ParsedSentence]:
         heads.append(head - 1 if head else None)
         deprels.append(cols[7])
     if forms:
-        sentences.append(_finish_sentence(forms, heads, deprels, path, ordinal, first))
+        sentences.append(_finish_sentence(forms, heads, deprels, share, path, ordinal, first))
     return sentences
 
 
 def _finish_sentence(
     forms: list[str], heads: list[int | None], deprels: list[str],
-    path: str | Path, ordinal: int, first: int,
+    share: Callable[[str, str], str], path: str | Path, ordinal: int, first: int,
 ) -> ParsedSentence:
-    """The sentence read from lines ``first`` on; the lines of a sentence
-    are consecutive, so token i is on line ``first + i``."""
+    """The sentence read from lines ``first`` on, its strings replaced by
+    ``share``'s copies; the lines of a sentence are consecutive, so token i
+    is on line ``first + i``."""
     try:
-        return ParsedSentence(tuple(forms), tuple(heads), tuple(deprels))
+        return ParsedSentence(
+            tuple(map(share, forms, forms)), tuple(heads), tuple(map(share, deprels, deprels))
+        )
     except TreeError as e:
         if e.token is None:
             where, what = first, str(e)

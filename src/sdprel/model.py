@@ -2,6 +2,11 @@
 
 Saved as a single JSON document.  Floats survive the round trip bit-exactly
 (shortest round-trip decimal representation), so save/load/save is stable.
+``save_model`` streams the document one parameter row at a time, so it never
+holds the whole text or the parameters as Python lists; the bytes equal one
+``json.dumps`` of the whole document.  It writes a temporary file next to
+the target and renames it over the target only once every row is written,
+so a failed save leaves an earlier model file as it was.
 ``hyperparams.train_pad`` is a fixed ``false``, kept so the file format does
 not change; the pad column is never trained, and loading ignores the key.
 """
@@ -10,9 +15,11 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -72,7 +79,7 @@ class TrainedModel:
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
-    doc = {
+    head = json.dumps({
         "format": FORMAT_TAG,
         "hyperparams": {**asdict(model.hp), "train_pad": False},
         "mode": model.mode.value,
@@ -82,16 +89,48 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
             "items": list(model.vocab.items),
             "word_strings": sorted(model.vocab.word_strings),
         },
-        "params": {name: getattr(model.params, name).tolist() for name in BLOCKS},
-    }
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    })
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.write(head[:-1] + ', "params": {')
+            for i, name in enumerate(BLOCKS):
+                f.write(f'{", " if i else ""}"{name}": ')
+                f.writelines(_block_json(getattr(model.params, name)))
+            f.write("}}")
+        os.replace(tmp, path)
+    except BaseException as e:
+        tmp.unlink(missing_ok=True)
+        if isinstance(e, OSError) and e.filename == str(tmp):  # name the target instead
+            raise OSError(e.errno, e.strerror, str(path)) from None
+        raise
+
+
+def _block_json(block: np.ndarray) -> Iterator[str]:
+    """``json.dumps(block.tolist())`` in pieces of at most one row."""
+    if block.ndim == 1:
+        yield json.dumps(block.tolist())
+        return
+    yield "["
+    for i, row in enumerate(block):
+        yield (", " if i else "") + json.dumps(row.tolist())
+    yield "]"
+
+
+def _strings(value: object, key: str) -> list[str]:
+    """``value`` if it is a list of strings, else a ValueError naming key."""
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise ValueError(f"{key} must be a list of strings")
+    return value
 
 
 def load_model(path: str | Path) -> TrainedModel:
     """Read a model file; a file that is not a model raises a ValueError
     naming the path and, when a key is missing, the key.  So do a class
     count K unfit for the file's regime and labels, a ``We`` whose column
-    count is not the vocabulary size, and a NaN or infinity."""
+    count is not the vocabulary size, and a NaN or infinity.  A size that
+    is not an integer, a weight that is not a number, and a label or vocab
+    entry that is not a string are errors naming the key."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as e:  # JSON syntax or text encoding
@@ -112,12 +151,15 @@ def load_model(path: str | Path) -> TrainedModel:
         for name, block in zip(BLOCKS, params.blocks()):
             if not np.isfinite(block).all():
                 raise ValueError(f"block {name} holds a non-finite value")
-        vocab = Vocab(tuple(doc["vocab"]["items"]), frozenset(doc["vocab"]["word_strings"]))
+        vocab = Vocab(
+            tuple(_strings(doc["vocab"]["items"], "vocab.items")),
+            frozenset(_strings(doc["vocab"]["word_strings"], "vocab.word_strings")),
+        )
         if params.We.shape[1] != len(vocab):
             raise ValueError(
                 f"We has {params.We.shape[1]} columns but the vocabulary has {len(vocab)} items"
             )
-        labels = LabelSet(tuple(doc["labels"]))
+        labels = LabelSet(tuple(_strings(doc["labels"], "labels")))
         regime = Regime(doc["regime"])
         need_k = len(class_labels(regime, labels))
         if hp.K != need_k:

@@ -28,6 +28,7 @@ window matrix nor positions, so ``backward`` rejects it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,7 +46,9 @@ class Hyperparams:
     """Network sizes and per-matrix regularization weights.
 
     f is the length of the optional per-instance lexical feature vector
-    concatenated before the softmax layer (0 disables it).
+    concatenated before the softmax layer (0 disables it).  Sizes must be
+    integers (numpy integers too) and weights real numbers; ``bool`` is
+    neither.
     """
 
     d: int
@@ -60,6 +63,14 @@ class Hyperparams:
     lambda_w3: float = 2e-3
 
     def __post_init__(self) -> None:
+        for name in ("d", "w", "n1", "n2", "K", "f"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("lambda_we", "lambda_w1", "lambda_w2", "lambda_w3"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         for name in ("d", "w", "n1", "n2", "K"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")

@@ -309,6 +309,26 @@ def test_a_directory_or_absent_input_file_exits_1_naming_it(
     assert capsys.readouterr().err == f"sdprel: {message}: {bad}\n"
 
 
+@pytest.mark.parametrize("kind, message", [
+    ("directory", "is a directory, not a file"),
+    ("absent directory", "no such file"),
+])
+def test_a_model_path_that_cannot_be_written_exits_1_naming_it(
+    files, tmp_path, capsys, kind, message
+):
+    """The model is written to a temporary file first; the message names
+    the path given, and the temporary file is gone."""
+    out = tmp_path / "out"
+    if kind == "directory":
+        out.mkdir()
+    else:
+        out = out / "model.json"
+    before = sorted(tmp_path.iterdir())
+    assert train(files, out) == 1
+    assert capsys.readouterr().err == f"sdprel: {message}: {out}\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 NOT_UTF8 = b"1\tfine\n\xff\n"  # the second line does not decode
 UTF8_CASES = [
     ("train", "config"), ("train", "train-sem"), ("train", "train-conll"),

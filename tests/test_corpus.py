@@ -64,6 +64,14 @@ class TestLabelCodec:
         with pytest.raises(CorpusError):
             DEFAULT_LABELS.parse("Cause-Affect(e1,e2)")
 
+    def test_the_same_text_gives_the_same_object_and_unknown_text_always_raises(self):
+        label = DEFAULT_LABELS.parse("Cause-Effect(e2,e1)")
+        assert DEFAULT_LABELS.parse(" Cause-Effect(e2,e1)\n") is label
+        assert DEFAULT_LABELS.parse("Other") is OTHER_LABEL
+        for _ in range(2):
+            with pytest.raises(CorpusError, match="unknown relation label 'Cause-Affect'"):
+                DEFAULT_LABELS.parse("Cause-Affect")
+
     def test_directed_base_with_no_direction_rejected(self):
         with pytest.raises(ValueError):
             DirectedLabel("Cause-Effect", Direction.NONE)
@@ -205,6 +213,15 @@ class TestSemevalParsing:
         with pytest.raises(CorpusError, match=r"line 2"):
             parse_semeval_file(path)
 
+    def test_equal_tokens_of_one_file_are_one_object(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_text(
+            SINGER_RECORD + '\n2\t"The <e2>singer</e2> caused the <e1>singer</e1> ."\nOther\n'
+        )
+        tokens = [t for inst in parse_semeval_file(path) for t in inst.tokens]
+        assert tokens.count("singer") == 3
+        assert_one_object_per_value(tokens)
+
     def test_write_read_identity(self, tmp_path):
         src = tmp_path / "src.txt"
         src.write_text(
@@ -220,7 +237,25 @@ class TestSemevalParsing:
         assert parse_semeval_file(copy) == first
 
 
+def assert_one_object_per_value(strings):
+    first = {}
+    for s in strings:
+        assert first.setdefault(s, s) is s
+
+
 class TestConllReading:
+    def test_equal_forms_and_equal_arc_labels_of_one_file_are_one_object(self, tmp_path):
+        path = tmp_path / "t.conll"
+        path.write_text(
+            "1\tsinger\t_\t_\t_\t_\t2\tnsubj\n2\tcaused\t_\t_\t_\t_\t0\troot\n\n"
+            "1\tsinger\t_\t_\t_\t_\t2\tnsubj\n2\tsang\t_\t_\t_\t_\t0\troot\n"
+            "3\tsinger\t_\t_\t_\t_\t2\tnsubj\n"
+        )
+        sentences = read_conll(path)
+        assert_one_object_per_value([f for s in sentences for f in s.forms])
+        assert_one_object_per_value([r for s in sentences for r in s.deprels])
+        assert [s.forms for s in sentences] == [("singer", "caused"), ("singer", "sang", "singer")]
+
     def test_minimal_two_token_tree(self, tmp_path):
         path = tmp_path / "t.conll"
         path.write_text(

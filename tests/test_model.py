@@ -2,10 +2,17 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sdprel
+import sdprel.model
+from reference_model import model_json
 from sdprel.cli import main
 from sdprel.corpus import LabelSet
 from sdprel.deppath import PathMode
@@ -16,14 +23,108 @@ from sdprel.network import Hyperparams, init_network_params
 from synth import aligned_corpus
 
 
-def small_model(seed=0):
-    hp = Hyperparams(d=3, w=3, n1=4, n2=3, K=3)
-    vocab = Vocab(("<pad>", "<unk>", "a", "→", "nsubj", "b"), frozenset({"a", "b"}))
-    We = np.random.default_rng(seed).uniform(-0.25, 0.25, size=(3, len(vocab)))
+def small_model(seed=0, hp=Hyperparams(d=3, w=3, n1=4, n2=3, K=3),
+                items=("<pad>", "<unk>", "a", "→", "nsubj", "b"), bases=("RelA", "RelB")):
+    vocab = Vocab(items, frozenset(items[2::3]))
+    We = np.random.default_rng(seed).uniform(-0.25, 0.25, size=(hp.d, len(vocab)))
     params = init_network_params(hp, We, seed)
-    return TrainedModel(
-        hp, vocab, LabelSet(("RelA", "RelB")), PathMode.LABELED, Regime.SIGHTED_NS, params
+    return TrainedModel(hp, vocab, LabelSet(bases), PathMode.LABELED, Regime.SIGHTED_NS, params)
+
+
+def edge_value_model():
+    """Values whose shortest repr is unusual: signed zero, the smallest
+    subnormal, values near the largest double, in 2-D and 1-D blocks."""
+    model = small_model(seed=5)
+    model.params.W2[1] = [-0.0, 5e-324, 1e308, -1.7976931348623157e308]
+    model.params.b3[:] = [-0.0, -5e-324, 1e-5]
+    return model
+
+
+SAVE_CASES = {
+    "small": small_model(),
+    "lexical features": small_model(seed=1, hp=Hyperparams(d=3, w=3, n1=4, n2=3, K=3, f=2)),
+    "1x1 blocks": small_model(seed=2, hp=Hyperparams(d=1, w=1, n1=1, n2=1, K=1),
+                              items=("<pad>", "<unk>")),
+    "edge values": edge_value_model(),
+    "non-ASCII": small_model(seed=3, items=("<pad>", "<unk>", "→", "é", "中", "\u2028"),
+                             bases=("Rél→A", "RelB")),
+}
+
+
+@pytest.mark.parametrize("name", SAVE_CASES)
+def test_saved_bytes_equal_one_json_dumps_of_the_whole_document(tmp_path, name):
+    model = SAVE_CASES[name]
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    assert path.read_bytes() == model_json(model).encode("utf-8")
+    assert os.listdir(tmp_path) == ["model.json"]
+
+
+def test_a_failed_save_keeps_the_earlier_file_and_leaves_no_temporary_file(
+    tmp_path, monkeypatch
+):
+    path = tmp_path / "model.json"
+    save_model(small_model(), path)
+    before = path.read_bytes()
+    real = sdprel.model._block_json
+    calls = []
+
+    def fail_after_the_first_block(block):
+        calls.append(block.shape)
+        if len(calls) > 1:
+            raise RuntimeError("disk gone")
+        return real(block)
+
+    monkeypatch.setattr(sdprel.model, "_block_json", fail_after_the_first_block)
+    with pytest.raises(RuntimeError, match="disk gone"):
+        save_model(small_model(seed=9), path)
+    assert len(calls) == 2
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.json"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_saving_a_paper_sized_model_raises_the_peak_rss_by_less_than_the_file_size(tmp_path):
+    """Rows are written as they are encoded, so the save's memory does not
+    grow with the model: saving a model of the benchmark's predict-long
+    size (V = 1900 at the paper's network sizes) in a fresh interpreter
+    raises its peak resident size by less than the size of the file.
+
+    The child reads ``VmHWM``, its own address space's peak, and not
+    ``ru_maxrss``: Linux carries the high-water mark over fork and exec, so
+    a child of the large test process would start at the parent's peak.
+    """
+    child = """
+import sys
+import numpy as np
+from sdprel.corpus import DEFAULT_LABELS
+from sdprel.deppath import PathMode
+from sdprel.embeddings import Vocab
+from sdprel.model import Regime, TrainedModel, save_model
+from sdprel.network import Hyperparams, init_network_params
+
+hp = Hyperparams(d=50, w=3, n1=200, n2=100, K=10)
+items = ("<pad>", "<unk>", *(f"w{i}" for i in range(1898)))
+We = np.random.default_rng(0).uniform(-0.25, 0.25, size=(hp.d, len(items)))
+model = TrainedModel(hp, Vocab(items, frozenset(items[2:])), DEFAULT_LABELS,
+                     PathMode.LABELED, Regime.SIGHTED_NS, init_network_params(hp, We, 1))
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+before = peak_kib()
+save_model(model, sys.argv[1])
+print(peak_kib() - before)
+"""
+    path = tmp_path / "model.json"
+    src = str(Path(sdprel.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", child, str(path)], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
     )
+    assert run.returncode == 0, run.stderr
+    rise = int(run.stdout) * 1024
+    assert path.stat().st_size > 2_000_000
+    assert rise < path.stat().st_size, f"peak RSS rose {rise} B for a {path.stat().st_size} B file"
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -191,3 +292,41 @@ def test_repeated_vocabulary_items_name_the_path(tmp_path, capsys):
     code, err = _predict_with(path, tmp_path, capsys)
     assert code == 1
     assert err == [f"sdprel: {expected}"]
+
+
+@pytest.mark.parametrize("keys, value, message", [
+    (("hyperparams", "d"), 50.0, "d must be an integer, got 50.0"),
+    (("hyperparams", "d"), "50", "d must be an integer, got '50'"),
+    (("hyperparams", "K"), True, "K must be an integer, got True"),
+    (("hyperparams", "f"), None, "f must be an integer, got None"),
+    (("hyperparams", "lambda_we"), None, "lambda_we must be a real number, got None"),
+    (("hyperparams", "lambda_w3"), "0.002", "lambda_w3 must be a real number, got '0.002'"),
+    (("hyperparams", "lambda_w1"), False, "lambda_w1 must be a real number, got False"),
+    (("labels", 1), 3, "labels must be a list of strings"),
+    (("labels",), "RelA", "labels must be a list of strings"),
+    (("vocab", "items", 2), 7, "vocab.items must be a list of strings"),
+    (("vocab", "word_strings", 0), 1.5, "vocab.word_strings must be a list of strings"),
+])
+def test_a_wrongly_typed_field_names_the_path_and_the_key(tmp_path, capsys, keys, value, message):
+    path = tmp_path / "model.json"
+    save_model(small_model(), path)
+    doc = json.loads(path.read_text())
+    *outer, last = keys
+    field = doc
+    for key in outer:
+        field = field[key]
+    field[last] = value
+    path.write_text(json.dumps(doc))
+    expected = f"model file {path}: {message}"
+    with pytest.raises(ValueError) as caught:
+        load_model(path)
+    assert str(caught.value) == expected
+    code, err = _predict_with(path, tmp_path, capsys)
+    assert code == 1
+    assert err == [f"sdprel: {expected}"]
+
+
+def test_sizes_may_be_numpy_integers_and_weights_numpy_floats():
+    hp = Hyperparams(d=np.int64(3), w=np.int32(3), n1=4, n2=3, K=3, f=np.uint8(0),
+                     lambda_we=np.float32(0.5), lambda_w1=0)
+    assert (hp.d_w, hp.lambda_we, hp.lambda_w1) == (9, 0.5, 0)
