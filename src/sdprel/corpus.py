@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 OTHER = "Other"
 
@@ -46,20 +46,44 @@ class CorpusError(ValueError):
     """Malformed corpus file or failed raw/parse alignment."""
 
 
-def read_lines(path: str | Path, error: type[ValueError] = CorpusError) -> list[str]:
+#: Bytes of a text file that ``read_lines`` reads at a time.
+PIECE_BYTES = 1 << 16
+
+
+def read_lines(path: str | Path, error: type[ValueError] = CorpusError) -> Iterator[str]:
     """The lines of a UTF-8 file, ended only at ``\\n`` (``\\r\\n`` counts as one end).
 
-    ``str.splitlines`` would also end a line at a form feed, U+2028 and other
-    separators that can stand inside a line.  Bytes that do not decode raise
-    ``error`` naming the file and the 1-based line they are on, counted the
-    same way.
+    The file is read ``PIECE_BYTES`` at a time, and each piece is cut after
+    its last ``\\n`` and decoded whole, so only one piece and the lines it
+    ends are held at once.  ``str.splitlines`` would also end a line at a
+    form feed, U+2028 and other separators that can stand inside a line.
+    Bytes that do not decode raise ``error`` naming the file and the 1-based
+    line they are on, counted the same way, when the reading reaches their
+    piece.  Text after the last ``\\n`` is the last line, empty if the file
+    ends with ``\\n``.
     """
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8").replace("\r\n", "\n").split("\n")
-    except UnicodeDecodeError as e:
-        line = data.count(b"\n", 0, e.start) + 1
-        raise error(f"{path}: line {line}: not valid UTF-8") from None
+
+    def split(data: bytes, line: int) -> list[str]:
+        try:
+            return data.decode("utf-8").replace("\r\n", "\n").split("\n")
+        except UnicodeDecodeError as e:
+            line += data.count(b"\n", 0, e.start)
+            raise error(f"{path}: line {line}: not valid UTF-8") from None
+
+    line = 1
+    with open(path, "rb") as f:
+        start: list[bytes] = []  # the pieces of a line begun in earlier pieces
+        while piece := f.read(PIECE_BYTES):
+            cut = piece.rfind(b"\n") + 1
+            if not cut:
+                start.append(piece)
+                continue
+            lines = split(b"".join([*start, piece[:cut]]), line)
+            lines.pop()  # the empty text after the cut
+            start = [piece[cut:]]
+            line += len(lines)
+            yield from lines
+        yield from split(b"".join(start), line)
 
 
 def parse_lines(
@@ -72,7 +96,8 @@ def parse_lines(
 
     A ValueError from ``parse`` is re-raised as ``error`` naming the file and
     the 1-based line.  With ``comments``, lines starting with ``#`` (after
-    leading blanks) are skipped too.
+    leading blanks) are skipped too.  A line that ``parse`` returns None for
+    adds nothing to the list.
     """
     out = []
     for n, line in enumerate(read_lines(path, error), start=1):
@@ -80,9 +105,11 @@ def parse_lines(
         if not stripped or (comments and stripped.startswith("#")):
             continue
         try:
-            out.append(parse(line))
+            value = parse(line)
         except ValueError as e:
             raise error(f"{path}: line {n}: {e}") from None
+        if value is not None:
+            out.append(value)
     return out
 
 
@@ -373,14 +400,14 @@ def parse_semeval_file(path: str | Path, labels: LabelSet = DEFAULT_LABELS) -> l
     instances: list[RawInstance] = []
     seen_ids: set[int] = set()
     share = {}.setdefault  # one object per distinct token of the file
-    lines = read_lines(path)
-    i = 0
-    while i < len(lines):
-        line = lines[i]
+    numbered = enumerate(read_lines(path), start=1)
+    ahead = next(numbered, None)  # the next (line number, line) not yet read
+    while ahead is not None:
+        n, line = ahead
+        ahead = next(numbered, None)
         if not line.strip():
-            i += 1
             continue
-        where = f"{path}: line {i + 1}"
+        where = f"{path}: line {n}"
         m = _RECORD_RE.match(line)
         if m is None:
             raise CorpusError(f"{where}: expected 'ID<TAB>\"sentence\"' record")
@@ -390,16 +417,15 @@ def parse_semeval_file(path: str | Path, labels: LabelSet = DEFAULT_LABELS) -> l
         seen_ids.add(inst_id)
         tokens, e1_span, e2_span = _tokenize_marked(m.group(2), where)
 
-        i += 1
-        if i >= len(lines) or not lines[i].strip():
-            raise CorpusError(f"{path}: line {i}: record {inst_id} has no label line")
+        if ahead is None or not ahead[1].strip():
+            raise CorpusError(f"{where}: record {inst_id} has no label line")
         try:
-            label = labels.parse(lines[i])
+            label = labels.parse(ahead[1])
         except CorpusError as e:
-            raise CorpusError(f"{path}: line {i + 1}: {e}") from None
-        i += 1
-        while i < len(lines) and lines[i].startswith("Comment"):
-            i += 1
+            raise CorpusError(f"{path}: line {ahead[0]}: {e}") from None
+        ahead = next(numbered, None)
+        while ahead is not None and ahead[1].startswith("Comment"):
+            ahead = next(numbered, None)
         instances.append(
             RawInstance(inst_id, tuple(map(share, tokens, tokens)), e1_span, e2_span, label)
         )

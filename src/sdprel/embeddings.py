@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable
+from typing import Container, Iterable
 
 import numpy as np
 
@@ -78,11 +78,15 @@ def build_vocab(sequences: Iterable[NodeSequence], min_count: int = 1) -> Vocab:
     return Vocab(items, frozenset(words.intersection(kept)))
 
 
-def load_pretrained(path: str | Path, d: int) -> dict[str, np.ndarray]:
+def load_pretrained(
+    path: str | Path, d: int, words: Container[str]
+) -> dict[str, np.ndarray]:
     """Read a pretrained-vector file: token then d finite numbers per line
-    (``#`` is a token, not a comment); a repeated token keeps its last vector."""
+    (``#`` is a token, not a comment).  Every line is checked, but only the
+    vectors of tokens in ``words`` are kept; a repeated token keeps its
+    last vector."""
 
-    def parse(line: str) -> tuple[str, np.ndarray]:
+    def parse(line: str) -> tuple[str, np.ndarray] | None:
         parts = line.rstrip().split(" ")
         if len(parts) != d + 1:
             raise ValueError(f"expected a token and {d} values, got {len(parts)} fields")
@@ -92,7 +96,7 @@ def load_pretrained(path: str | Path, d: int) -> dict[str, np.ndarray]:
             raise ValueError("non-numeric vector entry") from None
         if not np.isfinite(vec).all():
             raise ValueError("non-finite vector entry")
-        return parts[0], vec
+        return (parts[0], vec) if parts[0] in words else None
 
     return dict(parse_lines(path, parse, EmbeddingError))
 
@@ -114,7 +118,7 @@ def init_embeddings(
     table = rng.uniform(-0.25, 0.25, size=(d, len(vocab)))
     coverage = 1.0  # nothing to match when no pretrained table is requested
     if pretrained is not None:
-        vectors = load_pretrained(pretrained, d)
+        vectors = load_pretrained(pretrained, d, vocab.word_strings)
         matched = 0
         for word in vocab.word_strings:
             vec = vectors.get(word)

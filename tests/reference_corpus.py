@@ -10,7 +10,11 @@ messages and read the same columns (see ``test_conll_reader.py``).
 
 ``tokenize_marked`` finds the entity markers with four regex searches;
 ``sdprel.corpus`` finds them with ``str.find`` and must give the same tokens
-and spans, or the same error, for every text.  This module is not used
+and spans, or the same error, for every text.
+
+``read_lines`` decodes the whole file at once; ``sdprel.corpus.read_lines``
+reads it in pieces and must give the same lines, or the same error, for
+every file (see ``test_piece_readers.py``).  This module is not used
 outside the tests.
 """
 
@@ -152,3 +156,14 @@ def tokenize_marked(text: str, where: str) -> tuple[tuple[str, ...], tuple[int, 
     if m1.start() < m2.start():
         return tokens, span_a, span_b
     return tokens, span_b, span_a
+
+
+def read_lines(path: str | Path, error: type[ValueError] = CorpusError) -> list[str]:
+    """The lines of a UTF-8 file, ended only at ``\\n`` (``\\r\\n`` counts as one end);
+    bytes that do not decode raise ``error`` naming the file and the line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8").replace("\r\n", "\n").split("\n")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise error(f"{path}: line {line}: not valid UTF-8") from None

@@ -120,6 +120,11 @@ class TestParseLines:
         assert parse_lines(path, str.strip) == ["a", "# b", "c"]
         assert parse_lines(path, str.strip, comments=True) == ["a", "c"]
 
+    def test_a_line_parsed_to_none_adds_nothing(self, tmp_path):
+        path = tmp_path / "lines.txt"
+        path.write_text("a\nb\nc\n")
+        assert parse_lines(path, lambda line: None if line == "b" else line) == ["a", "c"]
+
     def test_value_error_names_file_and_line_in_the_given_type(self, tmp_path):
         class Custom(ValueError):
             pass

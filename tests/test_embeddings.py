@@ -110,7 +110,7 @@ class TestInitEmbeddings:
         path = tmp_path / "vecs.txt"
         path.write_text("singer 0.1 0.2\n")
         with pytest.raises(EmbeddingError, match="line 1"):
-            load_pretrained(path, 3)
+            load_pretrained(path, 3, {"singer"})
         with pytest.raises(EmbeddingError):
             init_embeddings(self._vocab(), path, 3, seed=0)
 
@@ -119,7 +119,30 @@ class TestInitEmbeddings:
         path.write_text("singer 0.1 0.2 0.3\ncaused 0.1 x 0.3\n")
         message = f"{path}: line 2: non-numeric vector entry"
         with pytest.raises(EmbeddingError, match="^" + re.escape(message) + "$"):
-            load_pretrained(path, 3)
+            load_pretrained(path, 3, {"singer"})
+
+    def test_only_vocabulary_words_are_kept_but_every_line_is_checked(self, tmp_path):
+        """A table far larger than the vocabulary keeps a vector only for the
+        vocabulary's words, the last one of a repeated word; a malformed line
+        still fails naming its line, whatever its token."""
+        path = tmp_path / "vecs.txt"
+        lines = [f"other{i} {i} 0.5 -1" for i in range(300)]
+        lines[40] = "singer 1 2 3"
+        lines[250] = "singer 4 5 6"
+        lines[260] = "→ 7 8 9"  # a vocabulary entry, but not a word node
+        path.write_text("\n".join(lines) + "\n")
+        vocab = self._vocab()
+        vectors = load_pretrained(path, 3, vocab.word_strings)
+        assert list(vectors) == ["singer"]
+        assert vectors["singer"].tolist() == [4.0, 5.0, 6.0]
+        table, coverage = init_embeddings(vocab, path, 3, seed=0)
+        assert table[:, vocab.lookup("singer")].tolist() == [4.0, 5.0, 6.0]
+        assert coverage == 0.5
+        lines[280] = "other280 1 x 3"
+        path.write_text("\n".join(lines) + "\n")
+        message = f"{path}: line 281: non-numeric vector entry"
+        with pytest.raises(EmbeddingError, match="^" + re.escape(message) + "$"):
+            load_pretrained(path, 3, vocab.word_strings)
 
     def test_coverage_without_word_nodes(self):
         vocab = build_vocab([])
