@@ -7,24 +7,23 @@ holds the whole text or the parameters as Python lists; the bytes equal one
 ``json.dumps`` of the whole document.  It writes a temporary file next to
 the target and renames it over the target only once every row is written,
 so a failed save leaves an earlier model file as it was.  ``load_model``
-reads the file back the same way: it holds one piece of ``PIECE_CHARS``
-characters, or one value of the document, and one parameter row at a time,
-so neither the whole text nor the parameters as Python lists exist at once.
-``hyperparams.train_pad`` is a fixed ``false``, kept so the file format does
-not change; the pad column is never trained, and loading ignores the key.
+reads that layout back one piece of ``PIECE_CHARS`` characters and one
+parameter row at a time, so neither the whole text nor the parameters as
+Python lists exist at once; any other layout or text is read whole by
+``json.loads``.  ``hyperparams.train_pad`` is a fixed ``false``, kept so the
+file format does not change; the pad column is never trained, and loading
+ignores the key.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import os
-import re
 from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterator, TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -132,159 +131,89 @@ def _strings(value: object, key: str) -> list[str]:
     return value
 
 
-_DECODER = json.JSONDecoder()
-_BLANKS = re.compile(r"[ \t\n\r]*")  # JSON's whitespace
-
-
-class _Walk:
-    """A walk over the text of a model file: ``text[at:]`` is read but not
-    yet walked.  It reads any JSON that keeps ``save_model``'s nesting,
-    whatever its whitespace and key order, and raises ValueError on any
-    other text."""
+class _Layout:
+    """A model file read one piece of ``PIECE_CHARS`` characters at a time:
+    ``text[at:]`` is read but not yet used.  ``document`` reads
+    ``save_model``'s layout and raises ValueError on any other text."""
 
     def __init__(self, f: TextIO) -> None:
-        self.f = f
-        self.text = ""
-        self.at = 0
+        self.f, self.text, self.at = f, "", 0
 
-    def _more(self, least: int) -> bool:
-        """Drop the walked text and read pieces until ``least`` characters
-        are added or the file ends; False if nothing was left to read."""
+    def ahead(self, n: int) -> str:
+        """The next ``n`` characters, fewer at the end of the file."""
+        while len(self.text) - self.at < n and (piece := self.f.read(PIECE_CHARS)):
+            self.text, self.at = self.text[self.at:] + piece, 0
+        return self.text[self.at:self.at + n]
+
+    def take(self, expected: str) -> None:
+        if self.ahead(len(expected)) != expected:
+            raise ValueError(f"expected {expected!r}")
+        self.at += len(expected)
+
+    def through(self, sep: str) -> str:
+        """The text up to and with the next ``sep``, walked past.  Each piece
+        is searched once, from the ``len(sep)`` characters before it."""
         parts = [self.text[self.at:]]
-        added = 0
-        while added < least and (piece := self.f.read(PIECE_CHARS)):
+        end, size, window = parts[0].find(sep), len(parts[0]), parts[0][-len(sep):]
+        while end < 0:
+            if not (piece := self.f.read(PIECE_CHARS)):
+                raise ValueError(f"the file ends before {sep!r}")
             parts.append(piece)
-            added += len(piece)
-        self.text, self.at = "".join(parts), 0
-        return added > 0
+            size, window = size + len(piece), window + piece
+            if (found := window.find(sep)) >= 0:
+                end = size - len(window) + found
+            window = window[-len(sep):]
+        self.text, self.at = "".join(parts), end + len(sep)
+        return self.text[:self.at]
 
-    def peek(self) -> str:
-        """The next character after whitespace, with ``at`` moved to it;
-        '' at the end of the file."""
-        self.at = _BLANKS.match(self.text, self.at).end()
-        while self.at == len(self.text) and self._more(1):
-            self.at = _BLANKS.match(self.text).end()
-        return self.text[self.at:self.at + 1]
-
-    def take(self, char: str) -> None:
-        """Walk past ``char``, the next character after whitespace."""
-        if self.peek() != char:
-            raise ValueError(f"expected {char!r}")
+    def block(self) -> object:
+        """A list of numbers as ``json`` decodes it, or a list of rows, each
+        read through its ``]`` and decoded once into a float64 array whose
+        room doubles as rows come."""
+        if self.ahead(2) != "[[":
+            return json.loads(self.through("]"))
         self.at += 1
-
-    def value(self) -> object:
-        """The JSON value after whitespace, by ``raw_decode``.  While the
-        value is not whole within the text read, the text is doubled, so a
-        value costs time linear in its length."""
-        self.peek()
-        while True:
-            try:
-                value, end = _DECODER.raw_decode(self.text, self.at)
-                if end < len(self.text):  # else a number may go on in the next piece
-                    self.at = end
-                    return value
-            except json.JSONDecodeError:
-                pass
-            if not self._more(len(self.text) - self.at):
-                raise ValueError("the file ends inside a value")
-
-    def row(self) -> list:
-        """The JSON list after whitespace: its text is read up to its first
-        ``]``, each new piece searched once, and decoded once."""
-        if self.peek() != "[":
-            raise ValueError("expected a row")
-        if self.text.find("]", self.at) < 0:
-            parts, piece = [self.text[self.at:]], ""
-            while "]" not in piece:
-                if not (piece := self.f.read(PIECE_CHARS)):
-                    raise ValueError("the file ends inside a row")
-                parts.append(piece)
-            self.text, self.at = "".join(parts), 0
-        values, self.at = _DECODER.raw_decode(self.text, self.at)
-        return values
-
-    def key(self) -> str:
-        """An object member's key and the ``:`` after it."""
-        if self.peek() != '"':
-            raise ValueError("expected a key")
-        key = self.value()
-        self.take(":")
-        return key
-
-    def items(self, read: Callable[[], object], end: str = "]") -> Iterator:
-        """``read()`` for each item of the list or object whose opening
-        bracket was just walked; the ``,`` or ``end`` after an item is walked
-        when the next one is asked for, so a caller reads a member's value
-        between the keys."""
-        if self.peek() == end:
-            self.at += 1
-            return
-        yield read()
-        while True:
-            sep = self.peek()
-            if sep not in (",", end):
-                raise ValueError(f"expected ',' or {end!r}")
-            self.at += 1
-            if sep == end:
-                return
-            yield read()
-
-    def members(self, read: Callable[[str], object]) -> dict:
-        """The JSON object after whitespace, each member's value read by
-        ``read(key)``; a repeated key keeps its last value, as in ``json``."""
-        self.take("{")
-        return {key: read(key) for key in self.items(self.key, "}")}
-
-    def block(self, name: str) -> object:
-        """A parameter block.  A list of rows is read one row at a time into
-        a float64 array whose room doubles as rows come; a list of numbers
-        or any other value is decoded as ``json`` does."""
-        if self.peek() != "[":
-            return self.value()
-        self.at += 1
-        if self.peek() != "[":
-            return list(self.items(self.value))
-        rows = self.items(self.row)
-        first = next(rows)
-        out, n = np.empty((1, len(first))), 0
-        for values in itertools.chain([first], rows):
-            try:
-                row = np.array(values, dtype=np.float64)
-            except (OverflowError, TypeError) as e:  # an int beyond float, an object
-                raise ValueError(f"block {name}: {e}") from None
-            if row.shape != out.shape[1:]:
-                raise ValueError(f"block {name} is not a list of equal rows")
+        out, n = np.empty((0, 0)), 0
+        while not n or self.ahead(1) != "]":
+            self.take(", " if n else "")
+            row = np.array(json.loads(self.through("]")), dtype=np.float64)
+            if n and row.shape != out.shape[1:]:
+                raise ValueError("the rows differ in length")
             if n == len(out):  # no other reference to out, so resize may move it
-                out.resize((2 * n, len(first)), refcheck=False)
+                out.resize((2 * n or 1, len(row)), refcheck=False)
             out[n] = row
             n += 1
-        out.resize((n, len(first)), refcheck=False)
+        self.at += 1
+        out.resize((n, out.shape[1]), refcheck=False)
         return out
 
     def document(self) -> dict:
-        """The whole file: one object, its ``params`` members read as blocks."""
-        doc = self.members(
-            lambda key: self.members(self.block)
-            if key == "params" and self.peek() == "{" else self.value()
-        )
-        if self.peek():
-            raise ValueError("text after the document")
+        """The head object, decoded once with an empty ``params`` so that a
+        head without members fails as in the whole file, then each block in
+        ``BLOCKS`` order, then ``}}`` and the end of the file."""
+        sep = ', "params": {'
+        doc = json.loads(self.through(sep) + "}}")
+        for i, name in enumerate(BLOCKS):
+            self.take(f'{", " if i else ""}"{name}": ')
+            doc["params"][name] = self.block()
+        if self.ahead(3) != "}}":
+            raise ValueError("expected '}}' and the end of the file")
         return doc
 
 
 def _read_document(path: str | Path) -> object:
-    """The JSON document of a model file, its parameter blocks as float64
-    arrays when they are lists of rows.
-
-    Text that the walk does not read (a syntax error, or a value nested
-    unlike ``save_model``'s) is read again whole with ``json.loads``, so the
-    document, or the error with its line and column, is ``json.loads``'s.
-    """
+    """The JSON document of a model file, its blocks of rows as float64
+    arrays.  ``save_model``'s layout is read one piece and one row at a
+    time; any other layout or text (a syntax error, an indented or
+    reordered file, a row unlike the first) is read again whole with
+    ``json.loads``, so the document, or the error with its line and
+    column, is ``json.loads``'s."""
     try:
         with open(path, encoding="utf-8") as f:
-            return _Walk(f).document()
-    except ValueError:  # JSON syntax, text encoding, or a layout the walk does not read
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+            return _Layout(f).document()
+    except (OverflowError, TypeError, ValueError):  # JSON syntax, text encoding, another layout
+        pass  # outside the handler, so the text read so far is freed first
+    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def load_model(path: str | Path) -> TrainedModel:
@@ -332,5 +261,5 @@ def load_model(path: str | Path) -> TrainedModel:
         return TrainedModel(hp, vocab, labels, PathMode(doc["mode"]), regime, params)
     except KeyError as e:
         raise ValueError(f"model file {path}: missing key {e.args[0]!r}") from None
-    except (IndexError, TypeError, ValueError) as e:  # wrong types or shapes
+    except (IndexError, OverflowError, TypeError, ValueError) as e:  # wrong types or shapes
         raise ValueError(f"model file {path}: {e}") from None

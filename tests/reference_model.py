@@ -7,10 +7,11 @@ turned into nested Python lists, and writes one ``json.dumps`` of it.
 must equal this function's (see ``test_model.py``).
 
 ``load_model`` parses the whole file with one ``json.loads`` and builds each
-block from nested lists.  ``sdprel.model.load_model`` reads the file one
-piece and one parameter row at a time; it must give the same parameter
-bytes and fields, or the same error, for every file (see
-``test_piece_readers.py``).  This module is not used outside the tests.
+block from nested lists.  ``sdprel.model.load_model`` reads ``save_model``'s
+layout one piece and one parameter row at a time, and any other layout or
+text whole with ``json.loads``; it must give the same parameter bytes and
+fields, or the same error, for every file (see ``test_piece_readers.py``).
+This module is not used outside the tests.
 """
 
 from __future__ import annotations
@@ -83,5 +84,5 @@ def load_model(path: str | Path) -> TrainedModel:
         return TrainedModel(hp, vocab, labels, PathMode(doc["mode"]), regime, params)
     except KeyError as e:
         raise ValueError(f"model file {path}: missing key {e.args[0]!r}") from None
-    except (IndexError, TypeError, ValueError) as e:  # wrong types or shapes
+    except (IndexError, OverflowError, TypeError, ValueError) as e:  # wrong types or shapes
         raise ValueError(f"model file {path}: {e}") from None

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,6 +217,36 @@ def test_missing_key_names_the_path_and_the_key(tmp_path, capsys):
     assert code == 1
     assert len(err) == 1
     assert str(path) in err[0] and "'hyperparams'" in err[0]
+
+
+def test_an_int_beyond_the_float_range_names_the_path(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    save_model(small_model(), path)
+    doc = json.loads(path.read_text())
+    doc["params"]["W2"][1][0] = 10**400
+    path.write_text(json.dumps(doc))  # still save_model's layout
+    code, err = _predict_with(path, tmp_path, capsys)
+    assert code == 1
+    assert err == [f"sdprel: model file {path}: int too large to convert to float"]
+
+
+def test_blocks_are_not_sized_from_the_header(tmp_path, capsys):
+    """A header that claims n1 = 10**7 gets a shape error naming the file;
+    the loader allocates no block of that size (80 MB for b1 alone)."""
+    path = tmp_path / "model.json"
+    save_model(small_model(), path)
+    doc = json.loads(path.read_text())
+    doc["hyperparams"]["n1"] = 10**7
+    path.write_text(json.dumps(doc))  # still save_model's layout
+    tracemalloc.start()
+    try:
+        code, err = _predict_with(path, tmp_path, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert err == [f"sdprel: model file {path}: W1 has shape (4, 9), expected (10000000, 9)"]
+    assert peak < 10**7
 
 
 @pytest.mark.parametrize("block, row, value", [
