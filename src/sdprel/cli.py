@@ -205,6 +205,9 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericError, OSError) as e:
         print(f"sdprel: runtime failure: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:
+        print(f"sdprel: runtime failure: out of memory: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -345,39 +345,27 @@ class AlignedInstance:
 _RECORD_RE = re.compile(r'^(\d+)\t"(.*)"\s*$')
 
 
-def _find_entity(
-    text: str, opening: str, closing: str, start: int = 0
-) -> tuple[int, int] | None:
-    """Start and end of the first ``opening``..``closing`` at or after
-    ``start``, or None: the first opening marker with a closing one after
-    it, closed by the nearest, as a regex search for ``<e1>(.*?)</e1>``."""
-    lo = text.find(opening, start)
-    if lo < 0:
-        return None
-    hi = text.find(closing, lo + len(opening))
-    return None if hi < 0 else (lo, hi + len(closing))
+_E1_RE = re.compile(r"<e1>(.*?)</e1>", re.DOTALL)
+_E2_RE = re.compile(r"<e2>(.*?)</e2>", re.DOTALL)
 
 
 def _tokenize_marked(text: str, where: str) -> tuple[list[str], tuple[int, int], tuple[int, int]]:
     """Tokenize a sentence with entity markers, returning tokens and spans."""
-    m1 = _find_entity(text, "<e1>", "</e1>")
-    m2 = _find_entity(text, "<e2>", "</e2>")
+    m1, m2 = _E1_RE.search(text), _E2_RE.search(text)
     if m1 is None or m2 is None:
         missing = "e1" if m1 is None else "e2"
         raise CorpusError(f"{where}: missing <{missing}>..</{missing}> markers")
-    if _find_entity(text, "<e1>", "</e1>", m1[1]) or _find_entity(text, "<e2>", "</e2>", m2[1]):
+    if _E1_RE.search(text, m1.end()) or _E2_RE.search(text, m2.end()):
         raise CorpusError(f"{where}: repeated entity markers")
-    first, second = (m1, m2) if m1[0] < m2[0] else (m2, m1)
-    if first[1] > second[0]:
+    first, second = (m1, m2) if m1.start() < m2.start() else (m2, m1)
+    if first.end() > second.start():
         raise CorpusError(f"{where}: overlapping entity markers")
 
-    # An entity's text lies between its 4-character opening marker and its
-    # 5-character closing one.
-    pre = tokenize(text[: first[0]])
-    ent_a = tokenize(text[first[0] + 4 : first[1] - 5])
-    mid = tokenize(text[first[1] : second[0]])
-    ent_b = tokenize(text[second[0] + 4 : second[1] - 5])
-    post = tokenize(text[second[1] :])
+    pre = tokenize(text[: first.start()])
+    ent_a = tokenize(first.group(1))
+    mid = tokenize(text[first.end() : second.start()])
+    ent_b = tokenize(second.group(1))
+    post = tokenize(text[second.end() :])
     if not ent_a or not ent_b:
         raise CorpusError(f"{where}: empty entity text")
 
@@ -385,7 +373,7 @@ def _tokenize_marked(text: str, where: str) -> tuple[list[str], tuple[int, int],
     off = span_a[1] + 1 + len(mid)
     span_b = (off, off + len(ent_b) - 1)
     tokens = pre + ent_a + mid + ent_b + post
-    if m1[0] < m2[0]:
+    if first is m1:
         return tokens, span_a, span_b
     return tokens, span_b, span_a
 

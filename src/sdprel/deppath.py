@@ -29,7 +29,6 @@ from .corpus import Direction, ParsedSentence, RawInstance
 
 ARROW_TO_HEAD = "→"
 ARROW_TO_DEPENDENT = "←"
-_ARROWS = {ARROW_TO_HEAD, ARROW_TO_DEPENDENT}
 _FLIPPED = {ARROW_TO_HEAD: ARROW_TO_DEPENDENT, ARROW_TO_DEPENDENT: ARROW_TO_HEAD}
 
 
@@ -192,7 +191,7 @@ def parse_path_line(line: str, mode: PathMode) -> tuple[int, NodeSequence]:
     texts = tuple(rest.split(" "))
     try:
         for arrow in texts[1 :: len(_unit(mode))]:
-            if arrow not in _ARROWS:
+            if arrow not in _FLIPPED:
                 raise ValueError(f"invalid arrow token {arrow!r}")
         return inst_id, NodeSequence(texts, mode)
     except ValueError as e:

@@ -205,13 +205,13 @@ def _read_document(path: str | Path) -> object:
     """The JSON document of a model file, its blocks of rows as float64
     arrays.  ``save_model``'s layout is read one piece and one row at a
     time; any other layout or text (a syntax error, an indented or
-    reordered file, a row unlike the first) is read again whole with
-    ``json.loads``, so the document, or the error with its line and
-    column, is ``json.loads``'s."""
+    reordered file, a row unlike the first, nesting too deep to decode) is
+    read again whole with ``json.loads``, so the document, or the error
+    with its line and column, is ``json.loads``'s."""
     try:
         with open(path, encoding="utf-8") as f:
             return _Layout(f).document()
-    except (OverflowError, TypeError, ValueError):  # JSON syntax, text encoding, another layout
+    except (OverflowError, RecursionError, TypeError, ValueError):  # another layout, or bad JSON
         pass  # outside the handler, so the text read so far is freed first
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
@@ -225,7 +225,7 @@ def load_model(path: str | Path) -> TrainedModel:
     entry that is not a string are errors naming the key."""
     try:
         doc = _read_document(path)
-    except ValueError as e:  # JSON syntax or text encoding
+    except (RecursionError, ValueError) as e:  # JSON syntax or nesting, text encoding
         raise ValueError(f"model file {path}: not valid JSON: {e}") from None
     tag = doc.get("format") if isinstance(doc, dict) else None
     if tag != FORMAT_TAG:

@@ -20,9 +20,8 @@ every ``P_b`` for a fixed set of ids, built once for fixed parameters, and
 instead of gathering windows and multiplying by W1.  Its probabilities
 match the matmul path to about 1e-16 (tests hold them to 1e-12), not bit
 for bit, because the sum over the d·w window entries is split per slot.
-Prediction reads only the pooled values, so the table path pools with a
-max and records no argmax positions.  A table-built cache has neither a
-window matrix nor positions, so ``backward`` rejects it.
+Prediction reads only the probabilities, so the table path pools with a
+max, records no argmax positions and returns no cache for ``backward``.
 """
 
 from __future__ import annotations
@@ -159,10 +158,10 @@ def init_network_params(hp: Hyperparams, We: np.ndarray, seed: int) -> NetworkPa
 class ForwardCache:
     """Intermediate values forward saves for the backward pass."""
 
-    indices: Sequence[int]  # a tuple; from a table, the sequence as given
-    X: np.ndarray | None   # d*w x t window matrix, C-contiguous; None from a table
+    indices: tuple[int, ...]
+    X: np.ndarray          # d*w x t window matrix, C-contiguous
     Z: np.ndarray          # n1 x t convolution output
-    argmax: np.ndarray | None  # n1, pooled column index per filter; None from a table
+    argmax: np.ndarray     # n1, pooled column index per filter
     pooled: np.ndarray     # n1
     hidden: np.ndarray     # n2, tanh output
     combined: np.ndarray   # n2 + f, hidden with lexical features appended
@@ -207,7 +206,6 @@ class ConvTable:
         present[np.asarray(ids, dtype=np.intp)] = True
         present[PAD_INDEX] = True
         self.ids = np.flatnonzero(present)
-        self.pad_row = int(np.searchsorted(self.ids, PAD_INDEX))
         embedded = params.We[:, self.ids].T
         d = hp.d
         self.slots = tuple(embedded @ params.W1[:, b * d : (b + 1) * d].T for b in range(hp.w))
@@ -225,7 +223,8 @@ class ConvTable:
             raise ValueError(f"index {indices[missing][0]} is not in the projection table")
         w = len(self.slots)
         half = (w - 1) // 2
-        padded = np.full(t + w - 1, self.pad_row, dtype=np.intp)
+        # PAD_INDEX is the smallest vocabulary id, so its row is row 0.
+        padded = np.zeros(t + w - 1, dtype=np.intp)
         padded[half : half + t] = rows
         # Position j reads slot b's row of the id at window offset b, padded[j + b].
         ZT = self.slots[0].take(padded[:t], axis=0)
@@ -253,16 +252,17 @@ def forward(
     indices: Sequence[int],
     lexfeat: np.ndarray | None = None,
     table: ConvTable | None = None,
-) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network on one indexed path, returning class probabilities.
+) -> tuple[np.ndarray, ForwardCache | None]:
+    """Run the network on one indexed path, returning class probabilities
+    and the cache ``backward`` reads.
 
     With a ``table`` built from these parameters, the convolution reads the
     table's slot projections instead of gathering the window matrix, max
     pooling takes each filter's maximum without its position, and the cache
-    it returns has ``X = argmax = None``; an index the table does not hold
-    raises ValueError.  Without a table, max pooling records each filter's
-    position for ``backward``, the lowest on ties.  Either way a filter pools
-    its maximum, and every layer after pooling is the same code.
+    is None; an index the table does not hold raises ValueError.  Without a
+    table, max pooling records each filter's position for ``backward``, the
+    lowest on ties.  Either way a filter pools its maximum, and every layer
+    after pooling is the same code.
 
     Raises NumericError naming the first non-finite layer ('convolution',
     'hidden' or 'scores') exactly when the per-layer checks would.  The
@@ -282,10 +282,8 @@ def forward(
         argmax = np.argmax(Z, axis=1)  # ties resolve to the lowest column
         pooled = Z[np.arange(hp.n1), argmax]
     else:
-        X = argmax = None
-        ZT = table.convolve(indices, params.b1)
-        pooled = ZT.max(axis=0)
-        Z = ZT.T
+        Z = table.convolve(indices, params.b1)  # transposed: t x n1
+        pooled = Z.max(axis=0)
     hidden = np.tanh(params.W2 @ pooled + params.b2)
     combined = hidden if lexfeat is None else np.concatenate([hidden, lexfeat])
     scores = params.W3 @ combined + params.b3
@@ -293,8 +291,9 @@ def forward(
         for value, layer in ((Z, "convolution"), (hidden, "hidden"), (scores, "scores")):
             _check_finite(value, layer)
     probs = softmax(scores)
-    cache = ForwardCache(indices, X, Z, argmax, pooled, hidden, combined, probs)
-    return probs, cache
+    if table is not None:
+        return probs, None
+    return probs, ForwardCache(indices, X, Z, argmax, pooled, hidden, combined, probs)
 
 
 def regularized_columns(indices: Sequence[int]) -> list[int]:
@@ -350,9 +349,6 @@ def backward(
     ``_check_finite`` calls.
     """
     params.check_shapes(hp)
-    if cache.X is None:
-        raise ValueError("forward cache comes from a projection table: no window matrix")
-
     t = len(cache.indices)
 
     dscores = cache.probs - target
@@ -449,9 +445,7 @@ def _random_case(cfg: dict, rng: np.random.Generator):
 
 def _fd_gradient(fn, array: np.ndarray, step: float) -> np.ndarray:
     grad = np.zeros_like(array)
-    it = np.nditer(array, flags=["multi_index"])
-    while not it.finished:
-        ix = it.multi_index
+    for ix in np.ndindex(array.shape):
         orig = array[ix]
         array[ix] = orig + step
         hi = fn()
@@ -459,7 +453,6 @@ def _fd_gradient(fn, array: np.ndarray, step: float) -> np.ndarray:
         lo = fn()
         array[ix] = orig
         grad[ix] = (hi - lo) / (2.0 * step)
-        it.iternext()
     return grad
 
 

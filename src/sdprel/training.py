@@ -127,15 +127,20 @@ class TrainConfig:
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Read ``key = value`` lines; blank lines and # comments are skipped."""
+    """Read ``key = value`` lines; blank lines and # comments are skipped,
+    and a key given twice is an error naming its second line."""
+    values: dict[str, str] = {}
 
-    def parse(line: str) -> tuple[str, str]:
+    def parse(line: str) -> None:
         if "=" not in line:
             raise ValueError("expected 'key = value'")
-        key, _, value = line.partition("=")
-        return key.strip(), value.strip()
+        key, _, value = map(str.strip, line.partition("="))
+        if key in values:
+            raise ValueError(f"duplicate key {key!r}")
+        values[key] = value
 
-    return dict(parse_lines(path, parse, ConfigError, comments=True))
+    parse_lines(path, parse, ConfigError, comments=True)
+    return values
 
 
 def config_from_mapping(values: Mapping[str, str]) -> TrainConfig:

@@ -1,5 +1,5 @@
-"""The ``Token`` reader that ``sdprel.corpus.read_conll`` replaced, and the
-regex entity-marker scan that ``sdprel.corpus`` replaced, kept as references.
+"""The ``Token`` reader and the whole-file line reader that ``sdprel.corpus``
+replaced, kept as references.
 
 This is the straightforward version of the CoNLL reader: one frozen ``Token``
 per word, and a tree check that builds per-token child lists and runs a
@@ -7,10 +7,6 @@ depth-first search from the root.  ``sdprel.corpus`` stores a parse as
 ``forms``/``heads``/``deprels`` columns and checks the tree by walking head
 links instead; it must accept and reject the same head tuples with the same
 messages and read the same columns (see ``test_conll_reader.py``).
-
-``tokenize_marked`` finds the entity markers with four regex searches;
-``sdprel.corpus`` finds them with ``str.find`` and must give the same tokens
-and spans, or the same error, for every text.
 
 ``read_lines`` decodes the whole file at once; ``sdprel.corpus.read_lines``
 reads it in pieces and must give the same lines, or the same error, for
@@ -20,11 +16,10 @@ outside the tests.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from sdprel.corpus import CorpusError, tokenize
+from sdprel.corpus import CorpusError
 
 
 @dataclass(frozen=True)
@@ -122,40 +117,6 @@ def _finish_block(block: list[Token], path: str | Path, ordinal: int) -> ParsedS
         return ParsedSentence(tuple(block))
     except CorpusError as e:
         raise CorpusError(f"{path}: sentence {ordinal}: {e}") from None
-
-
-_E1_RE = re.compile(r"<e1>(.*?)</e1>", re.DOTALL)
-_E2_RE = re.compile(r"<e2>(.*?)</e2>", re.DOTALL)
-
-
-def tokenize_marked(text: str, where: str) -> tuple[tuple[str, ...], tuple[int, int], tuple[int, int]]:
-    """Tokenize a sentence with entity markers, returning tokens and spans."""
-    m1 = _E1_RE.search(text)
-    m2 = _E2_RE.search(text)
-    if m1 is None or m2 is None:
-        missing = "e1" if m1 is None else "e2"
-        raise CorpusError(f"{where}: missing <{missing}>..</{missing}> markers")
-    if _E1_RE.search(text, m1.end()) or _E2_RE.search(text, m2.end()):
-        raise CorpusError(f"{where}: repeated entity markers")
-    first, second = (m1, m2) if m1.start() < m2.start() else (m2, m1)
-    if first.end() > second.start():
-        raise CorpusError(f"{where}: overlapping entity markers")
-
-    pre = tokenize(text[: first.start()])
-    ent_a = tokenize(first.group(1))
-    mid = tokenize(text[first.end() : second.start()])
-    ent_b = tokenize(second.group(1))
-    post = tokenize(text[second.end() :])
-    if not ent_a or not ent_b:
-        raise CorpusError(f"{where}: empty entity text")
-
-    span_a = (len(pre), len(pre) + len(ent_a) - 1)
-    off = span_a[1] + 1 + len(mid)
-    span_b = (off, off + len(ent_b) - 1)
-    tokens = tuple(pre + ent_a + mid + ent_b + post)
-    if m1.start() < m2.start():
-        return tokens, span_a, span_b
-    return tokens, span_b, span_a
 
 
 def read_lines(path: str | Path, error: type[ValueError] = CorpusError) -> list[str]:

@@ -48,7 +48,7 @@ def model_json(model: TrainedModel) -> str:
 def load_model(path: str | Path) -> TrainedModel:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as e:  # JSON syntax or text encoding
+    except (RecursionError, ValueError) as e:  # JSON syntax or nesting, text encoding
         raise ValueError(f"model file {path}: not valid JSON: {e}") from None
     tag = doc.get("format") if isinstance(doc, dict) else None
     if tag != FORMAT_TAG:

@@ -1,6 +1,7 @@
 """The command-line interface end to end: every command on a small synthetic
 corpus, the exit-code contract, and input errors that name the file and line."""
 
+import json
 import runpy
 import sys
 
@@ -116,6 +117,21 @@ def test_train_input_errors_name_the_file_and_line(files, tmp_path, capsys, whic
 def test_set_without_an_equals_sign_exits_1_naming_it(files, tmp_path, capsys):
     assert train(files, tmp_path / "model.json", "--set", "d8") == 1
     assert "sdprel: --set expects KEY=VALUE, got 'd8'" in capsys.readouterr().err
+
+
+def test_a_config_key_given_twice_exits_1_and_set_still_overrides_the_file(
+    files, tmp_path, capsys
+):
+    config = files["config"]
+    config.write_text(config.read_text(encoding="utf-8") + "d = 9\n", encoding="utf-8")
+    model = tmp_path / "model.json"
+    assert train(files, model) == 1
+    assert capsys.readouterr().err == f"sdprel: {config}: line 7: duplicate key 'd'\n"
+    assert not model.exists()
+
+    config.write_text(config.read_text(encoding="utf-8").replace("d = 9\n", ""), encoding="utf-8")
+    assert train(files, model, "--set", "d=9") == 0
+    assert json.loads(model.read_text(encoding="utf-8"))["hyperparams"]["d"] == 9
 
 
 def test_an_empty_training_corpus_exits_1(files, tmp_path, capsys):
@@ -253,6 +269,20 @@ def test_huge_pretrained_vectors_exit_2_naming_the_loss(files, tmp_path, capsys)
     assert "non-finite values in layer 'loss'" in err
 
 
+def test_an_embedding_table_too_large_to_allocate_exits_2_and_writes_no_model(
+    files, tmp_path, capsys
+):
+    """d x vocab float64 values need far more bytes than a 47-bit address
+    space holds, so the allocation fails at once whatever the overcommit
+    setting."""
+    model = tmp_path / "model.json"
+    assert train(files, model, "--set", "d=1000000000000000") == 2
+    assert capsys.readouterr().err.startswith(
+        "sdprel: runtime failure: out of memory: Unable to allocate"
+    )
+    assert sorted(tmp_path.iterdir()) == sorted(files.values())
+
+
 def predict(files, model, out, *extra):
     return main([
         "predict", "--model", str(model), "--sem", str(files["test-sem"]),
@@ -286,6 +316,29 @@ def test_predict_checks_the_lexical_feature_length_against_the_model(files, tmp_
     assert predict(files, plain, pred, "--lex-features", str(lex2)) == 1
     assert (f"--lex-features {lex2} gives lexical features of length 2, "
             f"but model {plain} has f = 0") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nested", ["brackets", "deep W2 row"])
+def test_a_model_file_nested_too_deep_to_decode_exits_1_as_invalid_json(
+    files, tmp_path, capsys, nested
+):
+    model = tmp_path / "model.json"
+    if nested == "brackets":
+        model.write_text("[" * 100000, encoding="utf-8")
+    else:
+        assert train(files, model) == 0
+        capsys.readouterr()
+        text = model.read_text(encoding="utf-8")  # its first W2 row becomes 50000 deep
+        start = text.index('"W2": [') + len('"W2": [')
+        end = text.index("]", start) + 1
+        model.write_text(text[:start] + "[" * 50000 + "0.5" + "]" * 50000 + text[end:],
+                         encoding="utf-8")
+    pred = tmp_path / "pred.txt"
+    assert predict(files, model, pred) == 1
+    assert capsys.readouterr().err.startswith(
+        f"sdprel: model file {model}: not valid JSON: maximum recursion depth exceeded"
+    )
+    assert not pred.exists()
 
 
 @pytest.mark.parametrize("kind, message", [

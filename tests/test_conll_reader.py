@@ -4,11 +4,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_corpus
-from sdprel.corpus import CorpusError, ParsedSentence, _tokenize_marked, read_conll, tokenize
+from sdprel.corpus import CorpusError, ParsedSentence, read_conll, tokenize
 from helpers import random_parse
 from synth import directional_corpus, write_corpus
 from writers import write_conll
@@ -50,53 +50,6 @@ def test_tree_check_accepts_and_rejects_as_the_reference_does(heads):
 @given(st.text(st.sampled_from("aZ09_é中٣²ǅ .,-'\t\n\r\x0b\x1c 　") | st.characters()))
 def test_tokenize_equals_the_reference_regex(text):
     assert tokenize(text) == re.findall(r"\w+|[^\w\s]", text)
-
-
-def _marked_outcome(scan, text):
-    try:
-        tokens, e1_span, e2_span = scan(text, "here")
-    except CorpusError as e:
-        return str(e)
-    return tuple(tokens), e1_span, e2_span
-
-
-MARKERS = ["<e1>", "</e1>", "<e2>", "</e2>"]
-WORDS = ["a", "bc", "é", " ", ",", "\n", "<", "</", "e1>", "e2", ">"]
-
-
-@st.composite
-def marked_texts(draw):
-    """A well-marked sentence, in either entity order, with up to three
-    pieces deleted and up to four markers or words inserted anywhere: texts
-    with missing, repeated, nested and overlapping markers and empty
-    entities all come up."""
-    word = st.sampled_from(WORDS)
-    e1, e2 = ["<e1>", draw(word), "</e1>"], ["<e2>", draw(word), "</e2>"]
-    first, second = (e1, e2) if draw(st.booleans()) else (e2, e1)
-    pieces = [draw(word), *first, draw(word), *second, draw(word)]
-    for _ in range(draw(st.integers(0, 3))):
-        del pieces[draw(st.integers(0, len(pieces) - 1))]
-    for piece in draw(st.lists(st.sampled_from(MARKERS) | word, max_size=4)):
-        pieces.insert(draw(st.integers(0, len(pieces))), piece)
-    return "".join(pieces)
-
-
-@settings(max_examples=1000, deadline=None)
-@given(marked_texts())
-@example("The <e1>singer</e1> caused a <e2>commotion</e2>.")
-@example("a <e2>b c</e2> d <e1>e</e1>")
-@example("a <e1>b</e1> c")  # missing e2
-@example("<e1>a</e1> <e2>b</e2> <e1>c</e1>")  # repeated
-@example("<e1>a <e2>b</e2> c</e1>")  # nested
-@example("<e1>a <e2>b</e1> c</e2>")  # overlapping
-@example("<e1> , </e1> <e2>b</e2>")  # an entity with no token
-@example("<e1></e1><e2>b</e2>")  # an empty entity
-@example("<e1>a</e1><e2>b</e2>")  # adjacent
-@example("<e1>a<e1>b</e1> <e2>c</e2>")  # an opening marker inside the entity
-@example("<e1>a</e1><e1>b</e1><e2>c</e2>")  # a repeat right after the first
-def test_marker_scan_equals_the_reference_regex_scan(text):
-    want = _marked_outcome(reference_corpus.tokenize_marked, text)
-    assert _marked_outcome(_tokenize_marked, text) == want
 
 
 def test_reader_gives_the_reference_readers_columns(tmp_path):

@@ -194,6 +194,7 @@ class TestSemevalParsing:
         ("The <e1>singer</e1> caused <e2>a</e2> <e2>commotion</e2>.",
          "repeated entity markers"),
         ("The <e1>singer <e2>caused</e1> a commotion</e2>.", "overlapping entity markers"),
+        ("<e1>a <e2>b</e2> c</e1>", "overlapping entity markers"),  # nested
         ("The <e1></e1> caused a <e2>commotion</e2>.", "empty entity text"),
         ("The <e1>singer</e1> caused a <e2> </e2>.", "empty entity text"),
     ])
@@ -202,6 +203,20 @@ class TestSemevalParsing:
         path.write_text(SINGER_RECORD + f'\n2\t"{sentence}"\nOther\n')
         with pytest.raises(CorpusError, match="^" + re.escape(f"{path}: line 4: {fault}") + "$"):
             parse_semeval_file(path)
+
+    @pytest.mark.parametrize("sentence, tokens, e1_span, e2_span", [
+        ("<e1>a</e1><e2>b</e2>", ("a", "b"), (0, 0), (1, 1)),  # adjacent
+        ("<e1> , </e1> <e2>b</e2>", (",", "b"), (0, 0), (1, 1)),  # only punctuation
+        # An opening marker inside e1 is e1's text; e1 ends at the first closing one.
+        ("<e1>a<e1>b</e1> <e2>c</e2>", ("a", "<", "e1", ">", "b", "c"), (0, 4), (5, 5)),
+    ])
+    def test_marker_edge_cases_give_tokens_and_spans(
+        self, tmp_path, sentence, tokens, e1_span, e2_span
+    ):
+        path = tmp_path / "corpus.txt"
+        path.write_text(f'1\t"{sentence}"\nOther\n')
+        (inst,) = parse_semeval_file(path)
+        assert (inst.tokens, inst.e1_span, inst.e2_span) == (tokens, e1_span, e2_span)
 
     @pytest.mark.parametrize("after", ["", "\n", "\n\n" + SINGER_RECORD.replace("1", "2", 1)])
     def test_a_record_without_a_label_line_names_its_line(self, tmp_path, after):

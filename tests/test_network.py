@@ -179,12 +179,13 @@ class TestConvTable:
         table = ConvTable(params, hp, np.concatenate([extra, indices[::-1]]))
         want, want_cache = forward(params, hp, indices, lexfeat)
         got, got_cache = forward(params, hp, indices, lexfeat, table)
+        assert got_cache is None
         assert np.max(np.abs(got - want)) <= 1e-12
         assert np.argmax(got) == np.argmax(want)
-        assert got_cache.Z.shape == want_cache.Z.shape == (hp.n1, len(indices))
-        assert np.max(np.abs(got_cache.Z - want_cache.Z)) <= 1e-12
-        assert np.max(np.abs(got_cache.pooled - want_cache.pooled)) <= 1e-12
-        assert got_cache.argmax is None and got_cache.X is None
+        ZT = table.convolve(indices, params.b1)
+        assert ZT.shape == (len(indices), hp.n1) and want_cache.Z.shape == (hp.n1, len(indices))
+        assert np.max(np.abs(ZT.T - want_cache.Z)) <= 1e-12
+        assert np.max(np.abs(ZT.max(axis=0) - want_cache.pooled)) <= 1e-12
 
     def test_slot_tables_are_contiguous_and_hold_pad(self):
         hp = Hyperparams(d=3, w=3, n1=4, n2=3, K=2)
@@ -208,13 +209,6 @@ class TestConvTable:
         assert np.array_equal(table.ids, [PAD_INDEX])
         with pytest.raises(ValueError, match="not in the projection table"):
             forward(params, hp, [2], table=table)
-
-    def test_backward_rejects_a_table_cache(self):
-        hp = Hyperparams(d=3, w=3, n1=4, n2=3, K=4)
-        params = random_params(hp)
-        _, cache = forward(params, hp, [2, 3, 4], table=ConvTable(params, hp, [2, 3, 4]))
-        with pytest.raises(ValueError, match="projection table"):
-            backward(cache, np.eye(4)[1], params, hp)
 
 
 class TestSoftmax:
