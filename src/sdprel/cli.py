@@ -115,6 +115,8 @@ def _cmd_train(args) -> int:
     best = max((h.dev_f1 for h in history), default=float("nan"))
     print(f"trained {len(history)} epochs on {info['n_train']} examples "
           f"({info['n_negatives']} negatives), vocab {info['vocab_size']}")
+    if config.embeddings_path is not None:  # without one, the 1.0 means nothing to match
+        print(f"embedding coverage {info['embedding_coverage']:.4f}")
     print(f"best dev macro-F1 {best:.4f}")
     print(f"model written to {args.out}, history to {history_path}")
     return 0

@@ -443,6 +443,11 @@ def train(
     returns the final parameters.  A non-finite layer, loss or gradient
     raises NumericError naming the epoch and the instance.
 
+    There is one snapshot: it is allocated at the first improving epoch and
+    overwritten in place at each later one, so training's peak memory is
+    the live parameters, the AdaGrad sums, one snapshot and the step
+    temporaries.
+
     The epochs, dev evaluation included, run with numpy's OpenBLAS at one
     thread (``one_blas_thread``).  Each step's matrix-vector products are
     too small to gain from a second thread, and on a small host that
@@ -481,7 +486,11 @@ def train(
                 dev_f1 = dev_evaluator(params)
                 if dev_f1 > best_f1:
                     best_f1 = dev_f1
-                    best_params = params.copy()
+                    if best_params is None:
+                        best_params = params.copy()
+                    else:
+                        for kept, live in zip(best_params.blocks(), params.blocks()):
+                            np.copyto(kept, live)
                     stale = 0
                 else:
                     stale += 1

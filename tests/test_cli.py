@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from sdprel.cli import main
+from sdprel.model import load_model
 from synth import SYNTH_LABELS, directional_corpus, write_corpus
 
 SPLITS = {"train": (60, 1), "dev": (20, 1001), "test": (20, 2001)}
@@ -229,6 +230,23 @@ def test_non_finite_pretrained_vectors_exit_1_naming_the_file_and_line(
     vectors.write_text(text, encoding="utf-8")
     assert train(files, tmp_path / "model.json", "--set", f"embeddings_path={vectors}") == 1
     assert f"{vectors}: line {line}: non-finite vector entry" in capsys.readouterr().err
+
+
+def test_train_prints_the_embedding_coverage_only_with_a_pretrained_file(
+    files, tmp_path, capsys
+):
+    model = tmp_path / "model.json"
+    assert train(files, model) == 0
+    assert "embedding coverage" not in capsys.readouterr().out
+    words = sorted(load_model(model).vocab.word_strings)
+    half = words[: len(words) // 2]
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("".join(w + " 0.1" * 8 + "\n" for w in half), encoding="utf-8")
+
+    assert train(files, tmp_path / "covered.json", "--set", f"embeddings_path={vectors}") == 0
+    coverage = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("embedding coverage")]
+    assert coverage == [f"embedding coverage {len(half) / len(words):.4f}"]
 
 
 def test_repeated_label_names_name_the_label_file(files, tmp_path, capsys):

@@ -1,8 +1,10 @@
-"""Early stopping in ``train``: which epoch's parameters come back, and when it
-stops; the ``.history`` file that records each epoch; and the one-BLAS-thread
-scope that ``train`` runs its epochs in."""
+"""Early stopping in ``train``: which epoch's parameters come back, when it
+stops, and how much memory its snapshot costs at the paper's scale; the
+``.history`` file that records each epoch; and the one-BLAS-thread scope that
+``train`` runs its epochs in."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 import sdprel.training as training
 from sdprel.network import BLOCKS, Hyperparams, NumericError, init_network_params
 from sdprel.training import EpochStats, LabeledInstance, TrainConfig, train, write_history
+from model_peak_rss import TRAIN_COPIES, parameter_bytes, peak_rise
 
 HP = Hyperparams(d=3, w=3, n1=4, n2=3, K=3)
 
@@ -76,6 +79,16 @@ def test_runs_every_epoch_while_dev_improves():
     best, history = train(TrainConfig(max_epochs=4, patience=1), train_set, params, HP, dev)
     assert len(history) == 4
     assert_same_params(best, dev.seen[3])
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_training_at_the_paper_scale_holds_one_snapshot_beside_the_adagrad_sums():
+    """The best-epoch snapshot is overwritten in place, so four improving
+    epochs at V = 25,000 raise ``train``'s peak resident size by the AdaGrad
+    sums, one snapshot and small temporaries (about 2.25 parameter copies);
+    two snapshots alive at once would read about 3.2."""
+    copies = peak_rise("train", 25_000) / parameter_bytes(25_000)
+    assert copies < TRAIN_COPIES, f"peak RSS rose {copies:.2f} parameter copies"
 
 
 def test_without_dev_evaluator_returns_the_final_parameters():
