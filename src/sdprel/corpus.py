@@ -19,7 +19,6 @@ strings after their last reference is dropped.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -160,15 +159,14 @@ class DirectedLabel:
 
 OTHER_LABEL = DirectedLabel(OTHER, Direction.NONE)
 
-_LABEL_RE = re.compile(r"(.+?)\((e1,e2|e2,e1)\)")
-
 
 @dataclass(frozen=True)
 class LabelSet:
-    """The base relation inventory and the parser of label strings.
+    """The base relation inventory and the codec of label strings.
 
-    Which label each network output stands for depends on the regime too;
-    ``model.class_labels`` defines it.
+    ``parse`` is the inverse of ``str`` over ``all_directed()`` and returns
+    the same objects.  Which label each network output stands for depends on
+    the regime too; ``model.class_labels`` defines it.
     """
 
     bases: tuple[str, ...]
@@ -180,35 +178,23 @@ class LabelSet:
             raise ValueError(f"{OTHER!r} is implicit and must not be listed")
         if not self.bases:
             raise ValueError("empty label set")
+        for base in self.bases:  # each must come back whole from an ID<TAB>label line
+            if not base or base != base.strip() or any(c in base for c in "\t\r\n"):
+                raise ValueError(f"base relation name {base!r} is empty, has whitespace "
+                                 f"at an end, or holds a tab or line break")
+        directed = [DirectedLabel(b, d) for b in self.bases for d in tuple(Direction)[:2]]
+        object.__setattr__(self, "_labels", {str(x): x for x in (*directed, OTHER_LABEL)})
 
     def parse(self, text: str) -> DirectedLabel:
-        """Decode a label string such as ``Cause-Effect(e1,e2)`` or ``Other``.
-
-        The same text gives the same object: results are cached, at most
-        2R+1 per label set.  An unknown label raises on every call.
-        """
-        return self._parse_stripped(text.strip())
-
-    @functools.cache
-    def _parse_stripped(self, text: str) -> DirectedLabel:
-        if text == OTHER:
-            return OTHER_LABEL
-        m = _LABEL_RE.fullmatch(text)
-        if m is None or m.group(1) not in self.bases:
-            raise CorpusError(f"unknown relation label {text!r}")
-        direction = (
-            Direction.E1_TO_E2 if m.group(2) == "e1,e2" else Direction.E2_TO_E1
-        )
-        return DirectedLabel(m.group(1), direction)
+        """Decode a label string such as ``Cause-Effect(e1,e2)`` or ``Other``,
+        ignoring whitespace at its ends."""
+        if (label := self._labels.get(text.strip())) is None:  # type: ignore[attr-defined]
+            raise CorpusError(f"unknown relation label {text.strip()!r}")
+        return label
 
     def all_directed(self) -> list[DirectedLabel]:
         """The 2R+1 directed classes, bases in inventory order, Other last."""
-        out = []
-        for base in self.bases:
-            out.append(DirectedLabel(base, Direction.E1_TO_E2))
-            out.append(DirectedLabel(base, Direction.E2_TO_E1))
-        out.append(OTHER_LABEL)
-        return out
+        return list(self._labels.values())  # type: ignore[attr-defined]
 
 
 DEFAULT_LABELS = LabelSet(SEMEVAL_BASES)
@@ -429,7 +415,8 @@ def read_conll(path: str | Path) -> list[ParsedSentence]:
     """Read a CoNLL file: columns ID FORM LEMMA CPOS POS FEATS HEAD DEPREL.
 
     Extra columns are ignored, HEAD=0 marks the root, blank lines separate
-    sentences.  Head structure is validated to be a single tree; an error
+    sentences.  A DEPREL may not hold whitespace, which a path file would
+    split, and head structure is validated to be a single tree; an error
     names the sentence and the line of the offending token, or the
     sentence's first line when the fault is the whole sentence's.
     """
@@ -437,7 +424,8 @@ def read_conll(path: str | Path) -> list[ParsedSentence]:
     forms: list[str] = []
     heads: list[int | None] = []
     deprels: list[str] = []
-    share = {}.setdefault  # one object per distinct form or arc label of the file
+    share = {}.setdefault  # one object per distinct form of the file
+    arc_label = {}.setdefault  # one object per distinct arc label, checked when first read
     ordinal = first = 1
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line or line.isspace():
@@ -462,9 +450,13 @@ def read_conll(path: str | Path) -> list[ParsedSentence]:
             raise CorpusError(
                 f"{path}: sentence {ordinal}, line {lineno}: non-integer HEAD {cols[6]!r}"
             ) from None
+        deprel = arc_label(cols[7], cols[7])
+        if deprel is cols[7] and deprel and deprel.split() != [deprel]:
+            raise CorpusError(f"{path}: sentence {ordinal}, line {lineno}: "
+                              f"DEPREL {deprel!r} holds whitespace")
         forms.append(cols[1])
         heads.append(head - 1 if head else None)
-        deprels.append(cols[7])
+        deprels.append(deprel)
     if forms:
         sentences.append(_finish_sentence(forms, heads, deprels, share, path, ordinal, first))
     return sentences
@@ -474,13 +466,11 @@ def _finish_sentence(
     forms: list[str], heads: list[int | None], deprels: list[str],
     share: Callable[[str, str], str], path: str | Path, ordinal: int, first: int,
 ) -> ParsedSentence:
-    """The sentence read from lines ``first`` on, its strings replaced by
+    """The sentence read from lines ``first`` on, its forms replaced by
     ``share``'s copies; the lines of a sentence are consecutive, so token i
     is on line ``first + i``."""
     try:
-        return ParsedSentence(
-            tuple(map(share, forms, forms)), tuple(heads), tuple(map(share, deprels, deprels))
-        )
+        return ParsedSentence(tuple(map(share, forms, forms)), tuple(heads), tuple(deprels))
     except TreeError as e:
         if e.token is None:
             where, what = first, str(e)

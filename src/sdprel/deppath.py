@@ -56,13 +56,9 @@ class PathNode(NamedTuple):
     text: str
 
 
-_LABELED_UNIT = (NodeKind.WORD, NodeKind.ARROW, NodeKind.LABEL)
-_DIRECTIONS_UNIT = (NodeKind.WORD, NodeKind.ARROW)
-
-
-def _unit(mode: PathMode) -> tuple[NodeKind, ...]:
-    """The node kinds of one step of a path: its first word and the arc after it."""
-    return _LABELED_UNIT if mode is PathMode.LABELED else _DIRECTIONS_UNIT
+def _step(mode: PathMode) -> int:
+    """The node count of one step of a path: its first word and the arc after it."""
+    return 3 if mode is PathMode.LABELED else 2
 
 
 @dataclass(frozen=True)
@@ -73,7 +69,7 @@ class NodeSequence:
     mode: PathMode
 
     def __post_init__(self) -> None:
-        n, step = len(self.texts), len(_unit(self.mode))
+        n, step = len(self.texts), _step(self.mode)
         if n < 1 or n % step != 1:
             raise ValueError(f"sequence of {n} nodes does not fit mode {self.mode.value}")
 
@@ -83,13 +79,13 @@ class NodeSequence:
     @property
     def words(self) -> tuple[str, ...]:
         """The word nodes, anchors included, in path order."""
-        return self.texts[:: len(_unit(self.mode))]
+        return self.texts[:: _step(self.mode)]
 
     @property
     def nodes(self) -> tuple[PathNode, ...]:
         """Every node with its positional kind (built on each call)."""
-        unit = _unit(self.mode)
-        return tuple(PathNode(unit[i % len(unit)], t) for i, t in enumerate(self.texts))
+        kinds = tuple(NodeKind)[: _step(self.mode)]  # WORD, ARROW, then LABEL if labeled
+        return tuple(PathNode(kinds[i % len(kinds)], t) for i, t in enumerate(self.texts))
 
 
 def select_anchor(span: tuple[int, int], parse: ParsedSentence) -> int:
@@ -152,7 +148,7 @@ def reverse_path(s: NodeSequence) -> NodeSequence:
     """Reverse the path, keeping each arrow/label unit on its edge and
     flipping every arrow."""
     texts = s.texts
-    step = len(_unit(s.mode))
+    step = _step(s.mode)
     out = list(texts)
     # w0 a0 l0 w1 ... a(k-1) l(k-1) wk  ->  wk a(k-1)' l(k-1) ... w1 a0' l0 w0
     out[0::step] = texts[-1::-step]
@@ -190,7 +186,7 @@ def parse_path_line(line: str, mode: PathMode) -> tuple[int, NodeSequence]:
         raise PathError(f"malformed path line {line!r}") from None
     texts = tuple(rest.split(" "))
     try:
-        for arrow in texts[1 :: len(_unit(mode))]:
+        for arrow in texts[1 :: _step(mode)]:
             if arrow not in _FLIPPED:
                 raise ValueError(f"invalid arrow token {arrow!r}")
         return inst_id, NodeSequence(texts, mode)

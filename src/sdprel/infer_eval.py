@@ -9,7 +9,7 @@ highest-confidence non-Other prediction wins and fixes the direction.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -137,33 +137,23 @@ def _predict_chunk(
     paths = [_indexed_paths(model, inst) for inst in chunk]
     ids = [a for p in paths if p is not None for a in p[:2] if a is not None]
     table = ConvTable(model.params, model.hp, np.concatenate(ids) if ids else ())
-    return [
-        Prediction(inst.raw.id, None, None, OTHER_LABEL, 0.0)
-        if path is None
-        else _predict(model, inst, *path, lexfeats, table)
-        for inst, path in zip(chunk, paths)
-    ]
-
-
-def _predict(
-    model: TrainedModel,
-    inst: AlignedInstance,
-    fwd: np.ndarray,
-    rev: np.ndarray | None,
-    from_e2: bool,
-    lexfeats: Mapping[int, np.ndarray] | None,
-    table: ConvTable,
-) -> Prediction:
-    """One instance's prediction from its indexed path(s)."""
-    lex = lexfeat_for(inst.raw.id, model.hp.f, lexfeats)
-    fwd_probs, _ = forward(model.params, model.hp, fwd, lex, table)
-    if rev is not None:
-        rev_probs, _ = forward(model.params, model.hp, rev, lex, table)
-        final, conf = combine(fwd_probs, rev_probs, model.labels)
-        return Prediction(inst.raw.id, fwd_probs, rev_probs, final, conf)
-    k = int(np.argmax(fwd_probs))
-    final = class_labels(model.regime, model.labels, from_e2)[k]
-    return Prediction(inst.raw.id, fwd_probs, None, final, float(fwd_probs[k]))
+    out = []
+    for inst, path in zip(chunk, paths):
+        if path is None:
+            out.append(Prediction(inst.raw.id, None, None, OTHER_LABEL, 0.0))
+            continue
+        fwd, rev, from_e2 = path
+        lex = lexfeat_for(inst.raw.id, model.hp.f, lexfeats)
+        fwd_probs, _ = forward(model.params, model.hp, fwd, lex, table)
+        if rev is None:
+            rev_probs = None
+            k = int(np.argmax(fwd_probs))
+            final, conf = class_labels(model.regime, model.labels, from_e2)[k], float(fwd_probs[k])
+        else:
+            rev_probs, _ = forward(model.params, model.hp, rev, lex, table)
+            final, conf = combine(fwd_probs, rev_probs, model.labels)
+        out.append(Prediction(inst.raw.id, fwd_probs, rev_probs, final, conf))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +182,9 @@ class ScoreReport:
     per_relation: dict[str, RelationScore]
     macro_f1: float
     accuracy: float
-    confusion: Counter = field(default_factory=Counter)
-    n: int = 0
-    scored_relations: tuple[str, ...] = ()
+    confusion: Counter
+    n: int
+    scored_relations: tuple[str, ...]
 
     def render(self) -> str:
         width = max((len(r) for r in self.per_relation), default=8)
@@ -231,33 +221,27 @@ def macro_f1(
     """
     if len(gold) != len(pred):
         raise ValueError(f"length mismatch: {len(gold)} gold vs {len(pred)} predicted")
-    confusion: Counter = Counter()
-    correct = 0
-    for g, p in zip(gold, pred):
-        confusion[(str(g), str(p))] += 1
-        if g == p:
-            correct += 1
+    confusion = Counter(zip(map(str, gold), map(str, pred)))
+    hits = Counter(g.base for g, p in zip(gold, pred) if g == p)
+    n_gold = Counter(g.base for g in gold)
+    n_pred = Counter(p.base for p in pred)
 
     per_relation: dict[str, RelationScore] = {}
     scored: list[str] = []
-    f1_sum = 0.0
+    f1_sum = 0.0  # added in order: sum() rounds floats differently from Python 3.12 on
     for base in labels.bases:
-        tp = sum(1 for g, p in zip(gold, pred) if g == p and g.base == base)
-        n_gold = sum(1 for g in gold if g.base == base)
-        n_pred = sum(1 for p in pred if p.base == base)
-        precision = tp / n_pred if n_pred else 0.0
-        recall = tp / n_gold if n_gold else 0.0
+        tp, in_gold, in_pred = hits[base], n_gold[base], n_pred[base]
+        precision = tp / in_pred if in_pred else 0.0
+        recall = tp / in_gold if in_gold else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        per_relation[base] = RelationScore(precision, recall, f1, tp, n_gold, n_pred)
-        if n_gold or n_pred:
+        per_relation[base] = RelationScore(precision, recall, f1, tp, in_gold, in_pred)
+        if in_gold or in_pred:
             scored.append(base)
             f1_sum += f1
 
     macro = f1_sum / len(scored) if scored else 0.0
-    accuracy = correct / len(gold) if gold else 0.0
-    return ScoreReport(
-        per_relation, macro, accuracy, confusion, len(gold), tuple(scored)
-    )
+    accuracy = hits.total() / len(gold) if gold else 0.0
+    return ScoreReport(per_relation, macro, accuracy, confusion, len(gold), tuple(scored))
 
 
 # ---------------------------------------------------------------------------

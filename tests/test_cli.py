@@ -259,6 +259,36 @@ def test_repeated_label_names_name_the_label_file(files, tmp_path, capsys):
     assert f"{labels}: duplicate base relation names" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["Rel\tA", "Rel\rA"])
+def test_a_label_name_that_a_prediction_line_cannot_hold_names_the_label_file(
+    files, tmp_path, capsys, name
+):
+    gold = tmp_path / "gold.txt"
+    gold.write_text("1\tOther\n", encoding="utf-8")
+    labels = tmp_path / "tab-labels.txt"
+    labels.write_text(f"RelB\n{name}\n", encoding="utf-8", newline="")
+    code = main(["score", "--gold", str(gold), "--pred", str(gold), "--labels", str(labels)])
+    assert code == 1
+    assert f"{labels}: base relation name {name!r} is empty" in capsys.readouterr().err
+
+
+def test_a_deprel_holding_whitespace_stops_extract_paths_naming_the_line(
+    files, tmp_path, capsys
+):
+    conll = files["train-conll"]
+    lines = conll.read_text(encoding="utf-8").split("\n")
+    n = next(i for i, line in enumerate(lines) if line.endswith("\tnsubj"))
+    lines[n] += " pass"
+    conll.write_text("\n".join(lines), encoding="utf-8")
+    code = main(["extract-paths", "--sem", str(files["train-sem"]), "--conll", str(conll),
+                 "--out", str(tmp_path / "pool.paths"), "--labels", str(files["labels"])])
+    assert code == 1
+    err = capsys.readouterr().err
+    where = f"sentence {lines[:n].count('') + 1}, line {n + 1}"
+    assert f"{conll}: {where}: DEPREL 'nsubj pass' holds whitespace" in err
+    assert not (tmp_path / "pool.paths").exists()
+
+
 def test_reserved_strings_as_path_deprels_train(files, tmp_path):
     conll = files["train-conll"]
     text = conll.read_text(encoding="utf-8")

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sdprel.corpus import (
     CorpusError,
@@ -71,6 +73,23 @@ class TestLabelCodec:
         for _ in range(2):
             with pytest.raises(CorpusError, match="unknown relation label 'Cause-Affect'"):
                 DEFAULT_LABELS.parse("Cause-Affect")
+
+    @given(st.lists(
+        st.text(st.sampled_from("Ab(e1,2) -") | st.characters(), min_size=1, max_size=12)
+        .filter(lambda b: b == b.strip() and not any(c in b for c in "\t\r\n") and b != "Other"),
+        min_size=1, max_size=5, unique=True,
+    ))
+    def test_parse_inverts_str_over_every_directed_label_of_random_bases(self, bases):
+        labels = LabelSet(tuple(bases))
+        for label in labels.all_directed():
+            assert labels.parse(str(label)) is label
+            assert labels.parse(f" {label}\n") is label
+
+    @pytest.mark.parametrize("base", ["", " RelA", "RelA ", "Rel\tA", "Rel\rA", "Rel\nA"])
+    def test_a_base_that_a_prediction_line_cannot_hold_is_rejected(self, base):
+        message = f"base relation name {base!r} is empty, has whitespace at an end, or holds"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            LabelSet(("RelB", base))
 
     def test_directed_base_with_no_direction_rejected(self):
         with pytest.raises(ValueError):
