@@ -15,6 +15,12 @@ few thousand forms and a dozen labels over tens of thousands of tokens, so a
 copy per token would hold most of its memory.  The table lives only for the
 call; ``sys.intern`` is not used, because some Python versions keep interned
 strings after their last reference is dropped.
+
+An aligned corpus holds each sentence's tokens once: ``align`` has checked
+that the annotated tokens equal the parse's forms, and then gives the raw
+instance the parse's tuple, so ``raw.tokens is parse.forms`` and the
+annotation file's strings are freed.  The per-sentence records are slotted
+dataclasses, which hold no attribute dictionary.
 """
 
 from __future__ import annotations
@@ -83,6 +89,23 @@ def read_lines(path: str | Path, error: type[ValueError] = CorpusError) -> Itera
             line += len(lines)
             yield from lines
         yield from split(b"".join(start), line)
+
+
+#: Small decimals by their spelling: a lookup is several times faster than
+#: ``int``, and nearly every HEAD is found in it.
+_DECIMALS = {str(i): i for i in range(256)}
+
+
+def parse_decimal(text: str, what: str) -> int:
+    """The value of ``text`` if it is ASCII digits alone, as every id and HEAD
+    must be; ``int`` would also take a sign, blanks, ``_`` between digits and
+    non-ASCII digits (``int("1_0") == 10``).  A ValueError names ``what``."""
+    value = _DECIMALS.get(text)
+    if value is None:
+        if not (text.isascii() and text.isdigit()):
+            raise ValueError(f"{what} {text!r} is not a decimal number")
+        value = int(text)
+    return value
 
 
 def parse_lines(
@@ -239,7 +262,7 @@ def tokenize(text: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawInstance:
     """One annotated sentence with its two nominal spans and gold label.
 
@@ -276,7 +299,7 @@ class TreeError(CorpusError):
         self.token = token
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParsedSentence:
     """A dependency tree over the sentence tokens, stored as three columns.
 
@@ -316,9 +339,10 @@ class ParsedSentence:
         return len(self.forms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlignedInstance:
-    """A raw annotated instance paired with its dependency parse."""
+    """A raw annotated instance paired with its dependency parse, which
+    share one token tuple (``raw.tokens is parse.forms``)."""
 
     raw: RawInstance
     parse: ParsedSentence
@@ -328,7 +352,7 @@ class AlignedInstance:
 # Annotated-sentence file format
 # ---------------------------------------------------------------------------
 
-_RECORD_RE = re.compile(r'^(\d+)\t"(.*)"\s*$')
+_RECORD_RE = re.compile(r'^([^\t]*)\t"(.*)"\s*$')
 
 
 _E1_RE = re.compile(r"<e1>(.*?)</e1>", re.DOTALL)
@@ -385,7 +409,10 @@ def parse_semeval_file(path: str | Path, labels: LabelSet = DEFAULT_LABELS) -> l
         m = _RECORD_RE.match(line)
         if m is None:
             raise CorpusError(f"{where}: expected 'ID<TAB>\"sentence\"' record")
-        inst_id = int(m.group(1))
+        try:
+            inst_id = parse_decimal(m.group(1), "instance id")
+        except ValueError as e:
+            raise CorpusError(f"{where}: {e}") from None
         if inst_id in seen_ids:
             raise CorpusError(f"{where}: duplicate instance id {inst_id}")
         seen_ids.add(inst_id)
@@ -445,11 +472,9 @@ def read_conll(path: str | Path) -> list[ParsedSentence]:
                 f"tab-separated columns, found {len(cols)}"
             )
         try:
-            head = int(cols[6])
-        except ValueError:
-            raise CorpusError(
-                f"{path}: sentence {ordinal}, line {lineno}: non-integer HEAD {cols[6]!r}"
-            ) from None
+            head = parse_decimal(cols[6], "HEAD")
+        except ValueError as e:
+            raise CorpusError(f"{path}: sentence {ordinal}, line {lineno}: {e}") from None
         deprel = arc_label(cols[7], cols[7])
         if deprel is cols[7] and deprel and deprel.split() != [deprel]:
             raise CorpusError(f"{path}: sentence {ordinal}, line {lineno}: "
@@ -486,7 +511,12 @@ def _finish_sentence(
 
 
 def align(raw: RawInstance, parse: ParsedSentence) -> AlignedInstance:
-    """Pair an annotated instance with its parse, verifying token identity."""
+    """Pair an annotated instance with its parse, verifying token identity.
+
+    The tokens are then held once: ``raw`` is changed in place to hold the
+    parse's ``forms`` tuple as its ``tokens``, which the check has shown to
+    be equal, so its own tuple and strings are freed.
+    """
     if len(raw.tokens) != len(parse):
         raise CorpusError(
             f"instance {raw.id}: length mismatch ({len(raw.tokens)} annotated tokens "
@@ -499,6 +529,7 @@ def align(raw: RawInstance, parse: ParsedSentence) -> AlignedInstance:
                     f"instance {raw.id}: token mismatch at index {i} ({a!r} vs {b!r}); "
                     f"re-parse with the reference tokenization"
                 )
+    object.__setattr__(raw, "tokens", parse.forms)  # frozen, but the value is equal
     return AlignedInstance(raw, parse)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .corpus import Direction, ParsedSentence, RawInstance
+from .corpus import Direction, ParsedSentence, RawInstance, parse_decimal
 
 ARROW_TO_HEAD = "→"
 ARROW_TO_DEPENDENT = "←"
@@ -178,14 +178,14 @@ def format_path_line(inst_id: int, s: NodeSequence) -> str:
 
 
 def parse_path_line(line: str, mode: PathMode) -> tuple[int, NodeSequence]:
-    """Inverse of format_path_line; validates the arrows, then the length."""
+    """Inverse of format_path_line; validates the id, the arrows, then the length."""
     try:
         id_part, rest = line.rstrip("\n").split("\t", 1)
-        inst_id = int(id_part)
     except ValueError:
         raise PathError(f"malformed path line {line!r}") from None
     texts = tuple(rest.split(" "))
     try:
+        inst_id = parse_decimal(id_part, "instance id")
         for arrow in texts[1 :: _step(mode)]:
             if arrow not in _FLIPPED:
                 raise ValueError(f"invalid arrow token {arrow!r}")

@@ -15,13 +15,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import AlignedInstance, DirectedLabel, LabelSet, OTHER_LABEL, parse_lines
+from .corpus import AlignedInstance, DirectedLabel, LabelSet, OTHER_LABEL, parse_decimal, parse_lines
 from .deppath import PathError, instance_path, reverse_path, subject_first_path
 from .model import Regime, TrainedModel, class_labels
 from .network import ConvTable, forward
 
 
-@dataclass
+@dataclass(slots=True)
 class Prediction:
     """Per-instance outcome; probability vectors kept for inspection."""
 
@@ -267,7 +267,7 @@ def read_predictions(
         parts = line.split("\t")
         if len(parts) != 2:
             raise ValueError("expected 'ID<TAB>label'")
-        inst_id = int(parts[0])
+        inst_id = parse_decimal(parts[0], "instance id")
         if inst_id in seen:
             raise ValueError(f"duplicate instance id {inst_id}")
         seen.add(inst_id)

@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Mapping, Sequence, get_args, get_type_hin
 
 import numpy as np
 
-from .corpus import AlignedInstance, DirectedLabel, LabelSet, OTHER_LABEL, parse_lines
+from .corpus import AlignedInstance, DirectedLabel, LabelSet, OTHER_LABEL, parse_decimal, parse_lines
 from .deppath import (
     NodeSequence,
     PathError,
@@ -263,7 +263,7 @@ def read_lex_features(path: str | Path) -> dict[int, np.ndarray]:
     def add(line: str) -> None:
         try:
             id_part, rest = line.split("\t", 1)
-            inst_id = int(id_part)
+            inst_id = parse_decimal(id_part, "instance id")
             vec = np.array([float(x) for x in rest.split()], dtype=np.float64)
         except ValueError:
             raise ValueError("expected 'ID<TAB>v1 v2 ...' lexical features") from None
@@ -519,7 +519,12 @@ def run_training(
     dev_instances: Sequence[AlignedInstance] | None,
     labels: LabelSet,
 ) -> tuple[TrainedModel, list[EpochStats], dict]:
-    """Wire the whole pipeline: paths, vocab, embeddings, SGD, dev scoring."""
+    """Wire the whole pipeline: paths, vocab, embeddings, SGD, dev scoring.
+
+    The encoded paths live only until ``to_labeled`` has indexed them: SGD
+    and the dev evaluator read the indexed set and the dev instances, so
+    the paths' node strings are not held through the epochs.
+    """
     lexfeats = read_lex_features(config.lex_features_path) if config.lex_features_path else None
     f = lexfeat_length(lexfeats)
 
@@ -537,6 +542,8 @@ def run_training(
     hp = config.hyperparams(K=len(class_labels(config.regime, labels)), f=f)
     params = init_network_params(hp, We, config.seed + 1)
     train_set = to_labeled(paths, vocab, labels, config.regime)
+    n_negatives = sum(p.provenance is not Provenance.GOLD for p in paths)
+    del paths
 
     model = TrainedModel(hp, vocab, labels, config.mode, config.regime, params)
     dev_evaluator = None
@@ -554,7 +561,7 @@ def run_training(
         "skipped": skipped,
         "embedding_coverage": coverage,
         "n_train": len(train_set),
-        "n_negatives": sum(p.provenance is not Provenance.GOLD for p in paths),
+        "n_negatives": n_negatives,
         "vocab_size": len(vocab),
     }
     return model, history, info

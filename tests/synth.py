@@ -5,6 +5,9 @@ whether the syntactic subject (nsubj) or object (dobj) token is the semantic
 subject depends on the verb's convention (half the verbs invert it), so a
 model must conjoin verb identity with the arc-label pattern to recover the
 relation direction.
+
+``long_corpus`` draws longer sentences over a large vocabulary, with random
+trees and labels, for measuring what a corpus costs in memory.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from sdprel.corpus import (
     RawInstance,
     align_corpus,
 )
-from helpers import make_parse
+from helpers import DEPRELS, make_parse, random_heads
 from writers import write_conll, write_semeval_file
 
 SYNTH_LABELS = LabelSet(("RelA", "RelB", "RelC", "RelD", "RelE"))
@@ -74,6 +77,26 @@ def directional_corpus(
             ("the", 4, "det"),
             (noun_b, 2, role_b),
         ]))
+    return raws, parses
+
+
+def long_corpus(n: int, seed: int, *, labels: LabelSet = SYNTH_LABELS, start_id: int = 1):
+    """Generate n random sentences of 20-30 tokens drawn from 10,000 forms,
+    each with a random tree, two one-token nominals and a random label
+    (Other one time in five); returns (raws, parses)."""
+    rng = np.random.default_rng(seed)
+    directed = [x for x in labels.all_directed() if not x.is_other]
+    raws: list[RawInstance] = []
+    parses = []
+    for i in range(n):
+        t = int(rng.integers(20, 31))
+        heads = random_heads(rng, t)
+        forms = tuple(f"w{k}" for k in rng.integers(10_000, size=t))
+        deprels = [DEPRELS[k] for k in rng.integers(len(DEPRELS), size=t)]
+        e1, e2 = (int(k) for k in rng.choice(t, 2, replace=False))
+        label = OTHER_LABEL if rng.random() < 0.2 else directed[rng.integers(len(directed))]
+        raws.append(RawInstance(start_id + i, forms, (e1, e1), (e2, e2), label))
+        parses.append(make_parse(zip(forms, heads, deprels)))
     return raws, parses
 
 

@@ -102,7 +102,11 @@ def test_bad_flag_exits_1_not_2(argv, capsys):
 BAD_INPUTS = [
     # which file, its broken text, and the line the message must name
     ("dev-sem", "not a record\n", "line 1: expected 'ID<TAB>\"sentence\"' record"),
+    ("dev-sem", '\u0661\u0662\t"<e1>a</e1> <e2>b</e2>"\nOther\n',  # int() reads 12
+     "line 1: instance id '\u0661\u0662' is not a decimal number"),
     ("train-conll", "1\tthe\t_\t_\t_\t_\t0\n", "sentence 1, line 1: expected >= 8"),
+    ("train-conll", "1\tthe\t_\t_\t_\t_\t0_2\tdep\n",  # int() reads 2
+     "sentence 1, line 1: HEAD '0_2' is not a decimal number"),
     ("config", "d = 8\nno equals sign\n", "line 2: expected 'key = value'"),
 ]
 
@@ -145,6 +149,7 @@ def test_an_empty_training_corpus_exits_1(files, tmp_path, capsys):
 
 @pytest.mark.parametrize("text, expected", [
     ("1\t0.5 0.25\nx7\t1.0 2.0\n", "line 2: expected 'ID<TAB>v1 v2 ...'"),
+    ("1\t0.5 0.25\n+2\t1.0 2.0\n", "line 2: expected 'ID<TAB>v1 v2 ...'"),  # int() reads 2
     ("1\t0.5 0.25\n2\t1.0\n", "line 2: lexical feature length 1 != 2"),
     ("1\t0.5 0.25\n1\t0.7 0.1\n", "line 2: duplicate instance id 1"),
     ("1\t0.5 0.25\n2\tinf 0.25\n", "line 2: non-finite lexical feature value"),
@@ -158,7 +163,8 @@ def test_lexical_feature_errors_name_the_file_and_line(files, tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("line, expected", [
-    ("x7\tOther", "line 2: invalid literal for int() with base 10: 'x7'"),
+    ("x7\tOther", "line 2: instance id 'x7' is not a decimal number"),
+    ("1_0\tOther", "line 2: instance id '1_0' is not a decimal number"),  # int() reads 10
     ("2\tNope(e1,e2)", "line 2: unknown relation label 'Nope(e1,e2)'"),
     ("2 Other", "line 2: expected 'ID<TAB>label'"),
 ])
@@ -204,11 +210,15 @@ def test_score_rejects_a_repeated_instance_id(files, tmp_path, capsys, which):
 
 def test_pool_file_errors_name_the_file_and_line(files, tmp_path, capsys):
     pool = tmp_path / "pool.paths"
-    pool.write_text("7\tsinger ← nsubj caused\n1\tnot a path\n", encoding="utf-8")
-    code = train(files, tmp_path / "model.json",
-                 "--set", "negatives=pool", "--set", f"pool_path={pool}")
-    assert code == 1
-    assert f"{pool}: line 2: malformed path line" in capsys.readouterr().err
+    for line, fault in [
+        ("1\tnot a path", "invalid arrow token 'a'"),
+        (" 1\tsinger ← nsubj caused", "instance id ' 1' is not a decimal number"),  # int() reads 1
+    ]:
+        pool.write_text(f"7\tsinger ← nsubj caused\n{line}\n", encoding="utf-8")
+        code = train(files, tmp_path / "model.json",
+                     "--set", "negatives=pool", "--set", f"pool_path={pool}")
+        assert code == 1
+        assert f"{pool}: line 2: malformed path line {line!r}: {fault}" in capsys.readouterr().err
 
 
 def test_pretrained_vector_errors_name_the_file_and_line(files, tmp_path, capsys):

@@ -80,8 +80,18 @@ def test_out_of_range_head_names_the_head_as_written_and_its_line(tmp_path):
     message = f"{path}: sentence 1, line 1: HEAD 9 out of range for 2 tokens"
     with pytest.raises(CorpusError, match="^" + re.escape(message) + "$"):
         read_conll(path)
-    path = _conll(tmp_path / "t.conll", [("a", 0)], [("a", 2), ("b", -1), ("c", 0)])
-    message = f"{path}: sentence 2, line 4: HEAD -1 out of range for 3 tokens"
+    path = _conll(tmp_path / "t.conll", [("a", 0)], [("a", 2), ("b", 4), ("c", 0)])
+    message = f"{path}: sentence 2, line 4: HEAD 4 out of range for 3 tokens"
+    with pytest.raises(CorpusError, match="^" + re.escape(message) + "$"):
+        read_conll(path)
+
+
+@pytest.mark.parametrize("head", ["0_2", "-1", "+1", " 1", "\u0661", ""])
+def test_a_head_not_in_ascii_digits_is_rejected_naming_the_sentence_and_line(tmp_path, head):
+    """``int`` would read ``0_2`` as 2, ``+1`` and `` 1`` as 1 and the
+    Arabic-Indic one as 1; -1 is never a head, as HEAD 0 marks the root."""
+    path = _conll(tmp_path / "t.conll", [("a", 0)], [("b", head), ("c", 0)])
+    message = f"{path}: sentence 2, line 3: HEAD {head!r} is not a decimal number"
     with pytest.raises(CorpusError, match="^" + re.escape(message) + "$"):
         read_conll(path)
 
@@ -115,7 +125,7 @@ def test_crlf_lines_read_as_lf_lines(tmp_path):
     assert read_conll(path) == want
     assert want[0].deprels == ("dep", "dep")
     path.write_bytes(path.read_bytes().replace(b"\t0\tdep\r\n\r\n", b"\tx\tdep\r\n\r\n"))
-    message = f"{path}: sentence 1, line 2: non-integer HEAD 'x'"
+    message = f"{path}: sentence 1, line 2: HEAD 'x' is not a decimal number"
     with pytest.raises(CorpusError, match="^" + re.escape(message) + "$"):
         read_conll(path)
 

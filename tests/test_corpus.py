@@ -1,6 +1,8 @@
 """Corpus ingestion: annotated-sentence parsing, CoNLL reading, alignment."""
 
+import gc
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from sdprel.corpus import (
     align,
     align_corpus,
     load_label_set,
+    parse_decimal,
     parse_lines,
     parse_semeval_file,
     read_conll,
@@ -26,6 +29,7 @@ from sdprel.corpus import (
 )
 from sdprel.model import Regime, class_labels
 from helpers import make_parse, random_heads
+from synth import SYNTH_LABELS, long_corpus, write_corpus
 from writers import write_conll, write_semeval_file
 
 SINGER_RECORD = '1\t"The <e1>singer</e1> caused a <e2>commotion</e2>."\nCause-Effect(e1,e2)\n'
@@ -169,6 +173,24 @@ class TestParseLines:
         path.write_text(f"1{separator}2\r\nx\n", encoding="utf-8")
         with pytest.raises(CorpusError, match=r"line 2: x$"):
             parse_lines(path, no_x)
+
+
+class TestDecimal:
+    @pytest.mark.parametrize("text", [
+        "1_0", "+1", "-1", " 1", "1 ", "\u0661", "\u00b2", "\uff11", "", "1.0", "0x1",
+    ])
+    def test_only_ascii_digits_are_read(self, text):
+        message = f"id {text!r} is not a decimal number"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            parse_decimal(text, "id")
+
+    @given(st.text(st.sampled_from("0123456789_+- \t\u0661\u00b2a")))
+    def test_reads_exactly_the_strings_of_ascii_digits_as_int_does(self, text):
+        if re.fullmatch("[0-9]+", text):
+            assert parse_decimal(text, "id") == int(text)
+        else:
+            with pytest.raises(ValueError):
+                parse_decimal(text, "id")
 
 
 class TestSemevalParsing:
@@ -415,6 +437,30 @@ class TestAlignment:
         parse = make_parse([("a", None, "r")])
         with pytest.raises(CorpusError, match="corpus mismatch"):
             align_corpus([], [parse])
+
+    def test_an_aligned_instance_holds_one_token_tuple(self, tmp_path):
+        sem, conll = write_corpus(tmp_path, "c", *long_corpus(20, seed=1))
+        raws = parse_semeval_file(sem, SYNTH_LABELS)
+        assert all(r.tokens is not p.forms for r, p in zip(raws, read_conll(conll)))
+        for inst in align_corpus(raws, read_conll(conll)):
+            assert inst.raw.tokens is inst.parse.forms
+
+    def test_an_aligned_sentence_read_from_files_stays_below_its_byte_bound(self, tmp_path):
+        """Live bytes per aligned sentence of about 25 tokens from 10,000
+        forms, strings included.  With the annotated tokens held beside the
+        parse's forms and an attribute dictionary per record this read 2382;
+        with one token tuple and slotted records, 1529."""
+        sem, conll = write_corpus(tmp_path, "c", *long_corpus(1000, seed=3))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            aligned = align_corpus(parse_semeval_file(sem, SYNTH_LABELS), read_conll(conll))
+            gc.collect()
+            live = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert live / len(aligned) < 1950
 
 
 class TestInvariants:

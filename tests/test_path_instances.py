@@ -1,8 +1,10 @@
 """``build_path_instances``: the path orientation of each regime, reversed and
 pool negatives, lexical features, and skipped instances, compared as node
-strings against the breadth-first reference extraction; and the one-hot
-targets that ``to_labeled`` gives their labels."""
+strings against the breadth-first reference extraction; the one-hot
+targets that ``to_labeled`` gives their labels; and that ``run_training``
+holds no path once they are indexed."""
 
+import gc
 import re
 from dataclasses import replace
 
@@ -185,3 +187,24 @@ def test_swapped_nominals_give_the_same_paths_and_targets(regime):
     for a, b in zip(*(to_labeled(p, vocab, SYNTH_LABELS, regime) for p in (original, mirrored))):
         assert a.indices == b.indices
         assert np.array_equal(a.target, b.target)
+
+
+def test_no_path_instance_is_alive_while_train_runs(monkeypatch):
+    """``run_training`` drops the encoded paths once ``to_labeled`` has
+    indexed them, so SGD holds the indexed set and not the node strings."""
+    alive = []
+
+    def scanned(*args, **kwargs):
+        gc.collect()
+        alive.append(sum(isinstance(o, PathInstance) for o in gc.get_objects()))
+        return train(*args, **kwargs)
+
+    train = training.train
+    monkeypatch.setattr(training, "train", scanned)
+    corpus = aligned_corpus(30, seed=2)
+    config = replace(CONFIGS[Regime.SIGHTED_NS], d=4, n1=6, n2=5, max_epochs=1)
+    _, _, info = training.run_training(
+        config, corpus, aligned_corpus(10, seed=3, start_id=100), SYNTH_LABELS
+    )
+    assert alive == [0]
+    assert info["n_negatives"] == sum(not inst.raw.label.is_other for inst in corpus)
