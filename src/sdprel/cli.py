@@ -95,6 +95,14 @@ def _load_aligned(sem_path: str, conll_path: str, labels):
     return align_corpus(raws, parses)
 
 
+def _load_split(flag: str, sem_path: str, conll_path: str, labels):
+    """A training or dev split, which must hold at least one instance."""
+    instances = _load_aligned(sem_path, conll_path, labels)
+    if not instances:
+        raise CorpusError(f"{flag} {sem_path} holds no instances")
+    return instances
+
+
 def _cmd_train(args) -> int:
     values = parse_config_file(args.config)
     for override in args.set:
@@ -105,14 +113,14 @@ def _cmd_train(args) -> int:
     config = config_from_mapping(values)
     labels = load_label_set(config.labels_path) if config.labels_path else DEFAULT_LABELS
 
-    train_instances = _load_aligned(args.train_sem, args.train_conll, labels)
-    dev_instances = _load_aligned(args.dev_sem, args.dev_conll, labels)
+    train_instances = _load_split("--train-sem", args.train_sem, args.train_conll, labels)
+    dev_instances = _load_split("--dev-sem", args.dev_sem, args.dev_conll, labels)
     model, history, info = run_training(config, train_instances, dev_instances, labels)
 
     save_model(model, args.out)
     history_path = args.history or args.out + ".history"
     write_history(history, history_path)
-    best = max((h.dev_f1 for h in history), default=float("nan"))
+    best = max(h.dev_f1 for h in history)
     print(f"trained {len(history)} epochs on {info['n_train']} examples "
           f"({info['n_negatives']} negatives), vocab {info['vocab_size']}")
     if config.embeddings_path is not None:  # without one, the 1.0 means nothing to match
@@ -154,9 +162,16 @@ def _cmd_score(args) -> int:
 
     gold_map = dict(gold_rows)
     pred_map = dict(pred_rows)
-    if set(gold_map) != set(pred_map):
-        missing = sorted(set(gold_map) ^ set(pred_map))[:5]
-        raise CorpusError(f"gold/prediction id mismatch, e.g. {missing}")
+    lacking = [
+        f"{path} lacks {len(ids)} of the ids in {other}, e.g. {ids[:5]}"
+        for path, other, ids in (
+            (args.pred, args.gold, sorted(gold_map.keys() - pred_map.keys())),
+            (args.gold, args.pred, sorted(pred_map.keys() - gold_map.keys())),
+        )
+        if ids
+    ]
+    if lacking:
+        raise CorpusError("gold/prediction id mismatch: " + "; ".join(lacking))
     ids = sorted(gold_map)
     report = macro_f1([gold_map[i] for i in ids], [pred_map[i] for i in ids], labels)
     print(report.render())

@@ -315,8 +315,11 @@ def loss(
     Biases are never regularized.  The embedding penalty covers only
     touched_cols, the columns the example touched (``regularized_columns``),
     which is the per-example objective the gradients of ``backward`` follow.
+    The log is taken only where the target is nonzero, so a probability that
+    softmax underflowed to 0 off the target adds nothing instead of 0 · -inf.
     """
-    ce = -float(np.dot(target, np.log(probs)))
+    on = target != 0
+    ce = -float(np.dot(target[on], np.log(probs[on])))
     reg = (
         hp.lambda_w1 * float(np.vdot(params.W1, params.W1))
         + hp.lambda_w2 * float(np.vdot(params.W2, params.W2))

@@ -139,11 +139,15 @@ def test_a_config_key_given_twice_exits_1_and_set_still_overrides_the_file(
     assert json.loads(model.read_text(encoding="utf-8"))["hyperparams"]["d"] == 9
 
 
-def test_an_empty_training_corpus_exits_1(files, tmp_path, capsys):
-    for which in ("train-sem", "train-conll"):
-        files[which].write_text("", encoding="utf-8")
+@pytest.mark.parametrize("split", ["train", "dev"])
+def test_an_empty_training_or_dev_corpus_exits_1_naming_the_file(
+    files, tmp_path, capsys, split
+):
+    for which in ("sem", "conll"):
+        files[f"{split}-{which}"].write_text("", encoding="utf-8")
     assert train(files, tmp_path / "model.json") == 1
-    assert "sdprel: no usable training instances" in capsys.readouterr().err
+    expected = f"sdprel: --{split}-sem {files[f'{split}-sem']} holds no instances\n"
+    assert capsys.readouterr().err == expected
     assert not (tmp_path / "model.json").exists()
 
 
@@ -179,12 +183,17 @@ def test_score_prediction_errors_name_the_file_and_line(files, tmp_path, capsys,
     assert f"{pred}: {expected}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("gold_text, example", [
-    ("1\tOther\n2\tOther\n", "[2, 3]"),
-    ("\n  \n", "[1, 3]"),  # a blank file is read as an empty predictions-format file
+@pytest.mark.parametrize("gold_text, lacking", [
+    ("1\tOther\n2\tOther\n", "{pred} lacks 1 of the ids in {gold}, e.g. [2]; "
+                             "{gold} lacks 1 of the ids in {pred}, e.g. [3]"),
+    # a blank file is read as an empty predictions-format file
+    ("\n  \n", "{gold} lacks 2 of the ids in {pred}, e.g. [1, 3]"),
+    # six ids lacking, of which the message shows the first five
+    ("".join(f"{i}\tOther\n" for i in range(1, 9)),
+     "{pred} lacks 6 of the ids in {gold}, e.g. [2, 4, 5, 6, 7]"),
 ])
 def test_score_rejects_ids_that_gold_and_predictions_do_not_share(
-    files, tmp_path, capsys, gold_text, example
+    files, tmp_path, capsys, gold_text, lacking
 ):
     gold = tmp_path / "gold.txt"
     gold.write_text(gold_text, encoding="utf-8")
@@ -193,7 +202,8 @@ def test_score_rejects_ids_that_gold_and_predictions_do_not_share(
     code = main(["score", "--gold", str(gold), "--pred", str(pred),
                  "--labels", str(files["labels"])])
     assert code == 1
-    assert capsys.readouterr().err == f"sdprel: gold/prediction id mismatch, e.g. {example}\n"
+    expected = "gold/prediction id mismatch: " + lacking.format(gold=gold, pred=pred)
+    assert capsys.readouterr().err == f"sdprel: {expected}\n"
 
 
 @pytest.mark.parametrize("which", ["gold", "pred"])

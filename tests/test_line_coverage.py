@@ -1,24 +1,31 @@
 """Every executable line of the ``sdprel`` package runs in some test.
 
-The gate runs the whole tier-1 suite (``tests`` and ``benchmark/tests``) in a
-child interpreter that records, with ``sys.settrace``, the line events of
-frames whose code lives in the ``sdprel`` package it imported.  It then
-compares them with each module's executable lines, read from the compiled
-code objects' ``co_lines()``.  A never-run line fails the gate unless
-``ALLOWLIST`` names it; an allowlist entry that now runs, or whose line is
-gone, fails it too, so the list cannot go stale.  Entries are keyed on the
-file name and the stripped source text, not on line numbers, so edits
-elsewhere in a module do not move them.
+The root ``conftest.py`` traces the tier-1 session itself.  When pytest is
+given no path, or exactly ``tests`` and ``benchmark/tests``, it installs a
+``sys.settrace`` (and ``threading.settrace``) line tracer in
+``pytest_configure`` that records the line events of frames whose code lives
+under ``src/``, and it moves the gate below to the end of the session.  The
+tracer has to start in the root conftest: pytest collects ``benchmark/tests``
+first, and that collection imports ``sdprel``, so a plugin loaded any later
+would miss the package's import-time lines; the conftest asserts that no
+module under ``src/`` is imported yet.
+
+The gate compares the recorded lines with each module's executable lines,
+read from the compiled code objects' ``co_lines()``.  A never-run line fails
+the gate unless ``ALLOWLIST`` names it; an allowlist entry that now runs, or
+whose line is gone, fails it too, so the list cannot go stale.  Entries are
+keyed on the file name and the stripped source text, not on line numbers, so
+edits elsewhere in a module do not move them.
+
+The gate checks only a run of the whole suite.  A session given a node id or
+a single file is not traced, and the gate skips with the reason; so it does
+when ``-k``, ``-m``, ``--deselect`` or ``--lf`` deselected any test.
 
 Only the standard library is used: no coverage package is needed.
 """
 
 from __future__ import annotations
 
-import importlib.util
-import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 from types import CodeType
@@ -27,59 +34,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE_DIR = ROOT / "src" / "sdprel"
-#: Set in the child's environment, so that the child does not run the gate again.
-CHILD_MARKER = "SDPREL_LINE_COVERAGE_CHILD"
 
 #: (file name within the package, stripped source text) -> why it never runs.
 ALLOWLIST: dict[tuple[str, str], str] = {}
-
-# Run as ``python -c _CHILD OUT ARGS...``: trace the sdprel package that the
-# child's import path resolves, run pytest with ARGS, and write the executed
-# lines, the imported package's directory and pytest's exit code to OUT.
-_CHILD = """
-import importlib.util, json, os, sys, threading
-import pytest
-from test_line_coverage import line_tracer
-
-out, args = sys.argv[1], sys.argv[2:]
-prefix = os.path.dirname(importlib.util.find_spec("sdprel").origin) + os.sep
-executed = {}
-tracer = line_tracer(prefix, executed)
-threading.settrace(tracer)
-sys.settrace(tracer)
-try:
-    status = pytest.main(args)
-finally:
-    sys.settrace(None)
-    threading.settrace(None)
-with open(out, "w", encoding="utf-8") as f:
-    json.dump({
-        "traced": prefix,
-        "package": os.path.dirname(sys.modules["sdprel"].__file__),
-        "status": int(status),
-        "executed": {name: sorted(lines) for name, lines in executed.items()},
-    }, f)
-"""
-
-
-def line_tracer(prefix: str, executed: dict[str, set[int]]):
-    """A ``sys.settrace`` function that adds to ``executed[file]`` the line
-    events of every frame whose file name starts with prefix."""
-
-    def trace_calls(frame, event, arg):
-        filename = frame.f_code.co_filename
-        if not filename.startswith(prefix):
-            return None
-        lines = executed.setdefault(filename, set())
-
-        def trace_lines(frame, event, arg):
-            if event == "line":
-                lines.add(frame.f_lineno)
-            return trace_lines
-
-        return trace_lines
-
-    return trace_calls
 
 
 def executable_lines(path: Path) -> set[int]:
@@ -124,22 +81,6 @@ def coverage_problems(
     return problems
 
 
-def _trace(module_path: Path, call) -> dict[str, set[int]]:
-    """Import the module at module_path and call ``call(module)`` while
-    tracing its lines, then restore the tracer in place before."""
-    executed: dict[str, set[int]] = {}
-    spec = importlib.util.spec_from_file_location(module_path.stem, module_path)
-    module = importlib.util.module_from_spec(spec)
-    previous = sys.gettrace()
-    sys.settrace(line_tracer(str(module_path), executed))
-    try:
-        spec.loader.exec_module(module)
-        call(module)
-    finally:
-        sys.settrace(previous)
-    return executed
-
-
 THROWAWAY = '''\
 def sign(x):
     if x < 0:
@@ -151,22 +92,20 @@ def sign(x):
 def test_checker_reports_a_never_run_line_and_nothing_once_it_runs(tmp_path):
     module = tmp_path / "throwaway.py"
     module.write_text(THROWAWAY, encoding="utf-8")
-    executed = _trace(module, lambda m: m.sign(1))
-    assert coverage_problems(tmp_path, executed, {}) == [
+    assert coverage_problems(tmp_path, {str(module): {1, 2, 4}}, {}) == [
         'throwaway.py:3: never runs: return "negative"'
     ]
-    executed = _trace(module, lambda m: (m.sign(1), m.sign(-1)))
-    assert coverage_problems(tmp_path, executed, {}) == []
+    assert coverage_problems(tmp_path, {str(module): {1, 2, 3, 4}}, {}) == []
 
 
 def test_checker_accepts_an_allowlisted_line_and_reports_stale_entries(tmp_path):
     module = tmp_path / "throwaway.py"
     module.write_text(THROWAWAY, encoding="utf-8")
-    executed = _trace(module, lambda m: m.sign(1))
+    executed = {str(module): {1, 2, 4}}
     allowed = {("throwaway.py", 'return "negative"'): "reason"}
     assert coverage_problems(tmp_path, executed, allowed) == []
 
-    everything = _trace(module, lambda m: (m.sign(1), m.sign(-1)))
+    everything = {str(module): {1, 2, 3, 4}}
     assert coverage_problems(tmp_path, everything, allowed) == [
         'throwaway.py: allowlisted line now runs: return "negative"'
     ]
@@ -181,24 +120,63 @@ def test_allowlist_entries_carry_a_reason():
     assert all(reason.strip() for reason in ALLOWLIST.values())
 
 
-@pytest.mark.skipif(bool(os.environ.get(CHILD_MARKER)), reason="inside the traced run")
-def test_every_package_line_runs_in_the_tier1_suite(tmp_path):
-    out = tmp_path / "lines.json"
-    env = dict(os.environ)
-    env[CHILD_MARKER] = "1"
-    paths = [str(PACKAGE_DIR.parent), str(ROOT / "tests"), env.get("PYTHONPATH")]
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
-    proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(out), "tests", "benchmark/tests",
-         "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=1200,
-    )
-    assert proc.returncode == 0 and out.exists(), proc.stdout[-4000:] + proc.stderr[-4000:]
-    result = json.loads(out.read_text(encoding="utf-8"))
-    assert result["status"] == 0, proc.stdout[-4000:]
+WHOLE_SUITE_ONLY = "*lines are traced only when the whole suite runs*"
+
+
+class GateFirst:
+    """Puts the gate first after every other reordering, as ``--ff`` does
+    once the gate has failed."""
+
+    @pytest.hookimpl(wrapper=True, tryfirst=True)
+    def pytest_collection_modifyitems(self, items):
+        result = yield
+        items.sort(key=lambda item: item.name != "test_every_package_line_runs_in_the_tier1_suite")
+        return result
+
+
+@pytest.mark.parametrize("args, passed, skip_reason", [
+    ((), 3, None),
+    (("tests", "benchmark/tests"), 3, None),
+    (("tests/test_gate.py::test_every_package_line_runs_in_the_tier1_suite",),
+     0, WHOLE_SUITE_ONLY),
+    (("tests/test_gate.py",), 0, WHOLE_SUITE_ONLY),
+    (("-k", "every_package_line"), 0, "*2 tests were deselected*"),
+    (("--deselect", "tests/test_sign.py::test_sign"), 1, "*1 tests were deselected*"),
+])
+def test_the_plugin_checks_only_a_whole_suite_run(pytester, args, passed, skip_reason):
+    """A small project under the root conftest: ``src/throwaway.py`` is
+    imported while ``benchmark/tests`` is collected, and ``test_sign`` calls
+    it, so the gate sees every line only when the import was traced and the
+    gate was moved behind ``test_sign`` after ``GateFirst`` put it first."""
+    pytester.makeini("[pytest]\npythonpath = src\n")
+    pytester.makeconftest((ROOT / "conftest.py").read_text(encoding="utf-8"))
+    for directory in ("src", "tests", "benchmark", "benchmark/tests"):
+        pytester.mkdir(directory)
+    module = pytester.path / "src" / "throwaway.py"
+    module.write_text(THROWAWAY, encoding="utf-8")
+    files = {
+        "benchmark/tests/test_imports.py": "import throwaway\n\ndef test_imports():\n    pass\n",
+        "tests/test_gate.py": (
+            "def test_every_package_line_runs_in_the_tier1_suite(package_lines_run):\n"
+            f"    assert package_lines_run == {{{str(module)!r}: {{1, 2, 3, 4}}}}\n"
+        ),
+        "tests/test_sign.py": (
+            "import throwaway\n\ndef test_sign():\n"
+            "    assert throwaway.sign(-1) != throwaway.sign(1)\n"
+        ),
+    }
+    for name, text in files.items():
+        (pytester.path / name).write_text(text, encoding="utf-8")
+
+    result = pytester.runpytest(*args, "-rs", "-p", "no:cacheprovider",
+                                "-p", "no:hypothesispytest", plugins=[GateFirst()])
+    result.assert_outcomes(passed=passed, skipped=int(skip_reason is not None))
+    if skip_reason is not None:
+        result.stdout.fnmatch_lines([f"SKIPPED*{skip_reason}"])
+
+
+def test_every_package_line_runs_in_the_tier1_suite(package_lines_run):
     # A non-editable install would put another copy first and leave src/ untraced.
-    assert Path(result["package"]) == PACKAGE_DIR
-    assert Path(result["traced"]) == PACKAGE_DIR
-    executed = {name: set(lines) for name, lines in result["executed"].items()}
-    problems = coverage_problems(PACKAGE_DIR, executed, ALLOWLIST)
+    assert Path(sys.modules["sdprel"].__file__).parent == PACKAGE_DIR
+    problems = coverage_problems(PACKAGE_DIR, package_lines_run, ALLOWLIST)
     assert not problems, "\n".join(problems)

@@ -236,6 +236,13 @@ class TestLoss:
         got = loss(probs, target, zero_params(hp), hp, ())
         assert abs(got - math.log(10)) < 1e-12
 
+    def test_an_underflowed_probability_off_the_target_adds_nothing(self):
+        hp = Hyperparams(d=2, w=3, n1=3, n2=2, K=3,
+                         lambda_we=0, lambda_w1=0, lambda_w2=0, lambda_w3=0)
+        target = np.array([0.0, 1.0, 0.0])
+        got = loss(np.array([0.0, 0.5, 0.5]), target, zero_params(hp), hp, ())
+        assert got == -math.log(0.5)
+
     def test_matching_distribution_minimizes_cross_entropy(self):
         hp = Hyperparams(d=2, w=3, n1=3, n2=2, K=5,
                          lambda_we=0, lambda_w1=0, lambda_w2=0, lambda_w3=0)

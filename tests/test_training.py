@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import sdprel.training as training
+from sdprel.corpus import DEFAULT_LABELS
 from sdprel.network import BLOCKS, Hyperparams, NumericError, init_network_params
 from sdprel.training import EpochStats, LabeledInstance, TrainConfig, train, write_history
 from model_peak_rss import TRAIN_COPIES, parameter_bytes, peak_rise
@@ -105,6 +106,11 @@ def test_empty_training_set_is_rejected():
     params, _ = small_problem()
     with pytest.raises(training.ConfigError, match="empty training set"):
         train(TrainConfig(max_epochs=1), [], params, HP)
+
+
+def test_run_training_rejects_a_corpus_without_a_usable_instance():
+    with pytest.raises(training.ConfigError, match="no usable training instances"):
+        training.run_training(TrainConfig(max_epochs=1), [], None, DEFAULT_LABELS)
 
 
 def test_history_file_has_one_line_per_epoch_that_reads_back_equal(tmp_path):
