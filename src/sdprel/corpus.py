@@ -224,8 +224,9 @@ DEFAULT_LABELS = LabelSet(SEMEVAL_BASES)
 
 
 def load_label_set(path: str | Path) -> LabelSet:
-    """Read a label-set file: one base relation name per line, # comments,
-    Other implicit; errors name the file."""
+    """Read a label-set file: one base relation name per line (ended by ``\\n`` or
+    ``\\r\\n``) stripped of surrounding whitespace, blank lines and # comments
+    skipped, Other implicit; errors name the file."""
     bases = tuple(parse_lines(path, str.strip, comments=True))
     try:
         return LabelSet(bases)

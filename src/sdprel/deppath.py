@@ -178,7 +178,9 @@ def format_path_line(inst_id: int, s: NodeSequence) -> str:
 
 
 def parse_path_line(line: str, mode: PathMode) -> tuple[int, NodeSequence]:
-    """Inverse of format_path_line; validates the id, the arrows, then the length."""
+    """Inverse of format_path_line; validates the id, the arrows, then the length.
+    Only trailing ``\\n`` are dropped: the id must be ASCII digits alone, nodes
+    split at single spaces, and any other blank (a tab, a lone ``\\r``) stays in its node."""
     try:
         id_part, rest = line.rstrip("\n").split("\t", 1)
     except ValueError:

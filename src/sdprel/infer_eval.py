@@ -259,8 +259,9 @@ def write_predictions(predictions: Sequence[Prediction], path: str | Path) -> No
 def read_predictions(
     path: str | Path, labels: LabelSet
 ) -> list[tuple[int, DirectedLabel]]:
-    """Read ``ID<TAB>label`` lines, one per instance ID; errors name the
-    file and line."""
+    """Read ``ID<TAB>label`` lines, ended by ``\\n`` or ``\\r\\n``, one per instance
+    ID; blank lines are skipped, the ID must be ASCII digits alone and the label
+    is stripped of surrounding whitespace.  Errors name the file and line."""
     seen: set[int] = set()
 
     def parse(line: str) -> tuple[int, DirectedLabel]:

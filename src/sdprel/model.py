@@ -65,8 +65,8 @@ def class_labels(
 
     Reading a path from the other nominal swaps subject and object: for a
     path that starts at e2 (``from_e2``) the table holds each entry's
-    ``reversed()``.  Training targets, single-path decoding and the reverse
-    half of ``combine`` all go through this table.
+    ``reversed()``.  Training class indices, single-path decoding and the
+    reverse half of ``combine`` all go through this table.
     """
     if from_e2:
         return tuple(label.reversed() for label in class_labels(regime, labels))

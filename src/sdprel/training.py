@@ -108,6 +108,8 @@ class TrainConfig:
             raise ConfigError("max_epochs and patience must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.min_count < 1:
+            raise ConfigError(f"min_count must be >= 1, got {self.min_count}")
         wants_negatives = self.negatives is not NegativeScheme.NONE
         if wants_negatives != (self.regime is Regime.SIGHTED_NS):
             raise ConfigError(
@@ -127,8 +129,9 @@ class TrainConfig:
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Read ``key = value`` lines; blank lines and # comments are skipped,
-    and a key given twice is an error naming its second line."""
+    """Read ``key = value`` lines, ended by ``\\n`` or ``\\r\\n``, split at the first
+    ``=`` and stripped around key and value; blank lines and # comments are
+    skipped, and a key given twice is an error naming its second line."""
     values: dict[str, str] = {}
 
     def parse(line: str) -> None:
@@ -194,12 +197,12 @@ class PathInstance:
 
 @dataclass(frozen=True)
 class LabeledInstance:
-    """A vocabulary-indexed path with its target distribution."""
+    """A vocabulary-indexed path and its label's index in ``class_labels``."""
 
     id: int
     indices: tuple[int, ...]
     lexfeat: np.ndarray | None
-    target: np.ndarray
+    gold: int
 
 
 def build_path_instances(
@@ -249,7 +252,8 @@ def build_path_instances(
 
 
 def read_pool_file(path: str | Path, mode: PathMode) -> list[tuple[int, NodeSequence]]:
-    """Read pre-encoded negative paths (extract-paths output format)."""
+    """Read pre-encoded negative paths (extract-paths output format): lines end at
+    ``\\n`` or ``\\r\\n``, blank ones are skipped, and ``parse_path_line`` strips nothing."""
     try:
         return parse_lines(path, lambda line: parse_path_line(line, mode), ConfigError)
     except OSError as e:
@@ -257,7 +261,9 @@ def read_pool_file(path: str | Path, mode: PathMode) -> list[tuple[int, NodeSequ
 
 
 def read_lex_features(path: str | Path) -> dict[int, np.ndarray]:
-    """Read ``ID<TAB>v1 v2 ...`` lines: one equal-length finite vector per instance ID."""
+    """Read ``ID<TAB>v1 v2 ...`` lines: one equal-length finite vector per instance ID.
+    Lines end at ``\\n`` or ``\\r\\n`` and blank ones are skipped; the ID must be
+    ASCII digits alone, and blanks around and between the values are dropped."""
     feats: dict[int, np.ndarray] = {}
 
     def add(line: str) -> None:
@@ -291,15 +297,10 @@ def to_labeled(
     labels: LabelSet,
     regime: Regime,
 ) -> list[LabeledInstance]:
-    """Index each path and one-hot its label over the ``class_labels`` of
-    the path's reading."""
-    out = []
-    for p in path_instances:
-        classes = class_labels(regime, labels, p.from_e2)
-        target = np.zeros(len(classes))
-        target[classes.index(p.label)] = 1.0
-        out.append(LabeledInstance(p.id, vocab.indexify(p.seq), p.lexfeat, target))
-    return out
+    """Index each path, and its label in the ``class_labels`` of the path's reading."""
+    return [LabeledInstance(p.id, vocab.indexify(p.seq), p.lexfeat,
+                            class_labels(regime, labels, p.from_e2).index(p.label))
+            for p in path_instances]
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +473,8 @@ def train(
                 cols = regularized_columns(inst.indices)
                 try:
                     probs, cache = forward(params, hp, inst.indices, inst.lexfeat)
-                    total += loss(probs, inst.target, params, hp, cols)
-                    grads = backward(cache, inst.target, params, hp)
+                    total += loss(probs, inst.gold, params, hp, cols)
+                    grads = backward(cache, inst.gold, params, hp)
                     if not math.isfinite(total):  # losses are >= 0: the first bad one shows
                         raise NumericError("non-finite values in layer 'loss'")
                 except NumericError as e:

@@ -1,9 +1,11 @@
-"""Shared test scaffolding: hand-built parses and random tree generation."""
+"""Shared test scaffolding: hand-built parses, random tree generation and a
+forward pass whose first non-finite value is a gradient."""
 
 from __future__ import annotations
 
 import numpy as np
 
+import sdprel.network as network
 from sdprel.corpus import ParsedSentence
 
 DEPRELS = ("nsubj", "dobj", "det", "amod", "prep", "pobj", "conj", "advmod")
@@ -72,3 +74,12 @@ def all_simple_paths(adj: list[set[int]], a: int, b: int) -> list[list[int]]:
 
     walk(a, {a}, [a])
     return found
+
+
+def nan_probability_forward(*args, **kwargs):
+    """``network.forward`` with a NaN probability for class 0.  The loss of a
+    gold class other than 0 reads only the gold probability and stays
+    finite, so the first non-finite value is a gradient."""
+    probs, cache = network.forward(*args, **kwargs)
+    probs[0] = np.nan  # the cache holds the same array
+    return probs, cache

@@ -76,7 +76,7 @@ if action == "train":
     rng = np.random.default_rng(2)
     train_set = [
         LabeledInstance(i, tuple(int(j) for j in rng.integers(1, vocab_size, size=19)),
-                        None, np.eye(hp.K)[i % hp.K])
+                        None, i % hp.K)
         for i in range(50)
     ]
     rising = itertools.count(1)

@@ -46,11 +46,12 @@ def window_concat(indices: Sequence[int], We: np.ndarray, w: int) -> np.ndarray:
 
 def backward(
     cache: ForwardCache,
-    target: np.ndarray,
+    gold: int,
     params: NetworkParams,
     hp: Hyperparams,
 ) -> NetworkParams:
-    """Exact gradients of the per-example loss for every parameter block.
+    """Exact gradients of the per-example loss of gold class ``gold`` for
+    every parameter block.
 
     Max pooling routes gradient only to each filter's argmax column; only
     touched embedding columns receive gradient (with their share of the
@@ -67,7 +68,7 @@ def backward(
     t = len(cache.indices)
     half = (hp.w - 1) // 2
 
-    dscores = cache.probs - target
+    dscores = cache.probs - np.eye(hp.K)[gold]
     dW3 = np.outer(dscores, cache.combined) + 2.0 * hp.lambda_w3 * params.W3
     db3 = dscores.copy()
     dcombined = params.W3.T @ dscores

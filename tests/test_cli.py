@@ -326,6 +326,12 @@ def test_min_count_that_leaves_no_node_exits_1_naming_the_key(files, tmp_path, c
     assert not (tmp_path / "model.json").exists()
 
 
+def test_min_count_below_1_exits_1_naming_the_key(files, tmp_path, capsys):
+    assert train(files, tmp_path / "model.json", "--set", "min_count=0") == 1
+    assert "sdprel: min_count must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_huge_pretrained_vectors_exit_2_naming_the_loss(files, tmp_path, capsys):
     vectors = tmp_path / "vectors.txt"
     vectors.write_text(

@@ -59,6 +59,8 @@ def test_cli_exits_1_with_the_key_in_the_message(tmp_path, capsys, key, value, e
     ("epsilon", "0", "sdprel: epsilon must be finite and > 0, got 0.0"),
     ("epsilon", "-1", "sdprel: epsilon must be finite and > 0, got -1.0"),
     ("seed", "-1", "sdprel: seed must be >= 0, got -1"),
+    ("min_count", "0", "sdprel: min_count must be >= 1, got 0"),
+    ("min_count", "-3", "sdprel: min_count must be >= 1, got -3"),
     ("max_epochs", "0", "sdprel: max_epochs and patience must be >= 1"),
     ("patience", "0", "sdprel: max_epochs and patience must be >= 1"),
     ("regime", "blind", "sdprel: negatives=reversed requires regime=sighted-ns "

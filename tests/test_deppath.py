@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sdprel.corpus import RawInstance, Direction, DirectedLabel
 from sdprel.deppath import (
@@ -240,14 +242,31 @@ class TestInstancePaths:
             instance_path(negative, singer_parse(), PathMode.LABELED)
 
 
+#: Any character but whitespace, which ends a node or a line; no lone surrogates.
+NODE_TEXTS = st.text(
+    st.characters(exclude_categories=("Cs",)).filter(lambda c: not c.isspace()), min_size=1
+)
+
+
+@st.composite
+def path_lines(draw):
+    """An instance id, large ones included, and a node sequence in either mode."""
+    mode = draw(st.sampled_from(list(PathMode)))
+    texts = [draw(NODE_TEXTS)]
+    for _ in range(draw(st.integers(0, 5))):
+        texts.append(draw(st.sampled_from((ARROW_TO_HEAD, ARROW_TO_DEPENDENT))))
+        if mode is PathMode.LABELED:
+            texts.append(draw(NODE_TEXTS))
+        texts.append(draw(NODE_TEXTS))
+    return draw(st.integers(min_value=0)), NodeSequence(tuple(texts), mode)
+
+
 class TestPathLines:
-    def test_round_trip(self):
-        parse = singer_parse()
-        g = build_graph(parse)
-        for mode in PathMode:
-            seq = encode_path([1, 2, 4], g, parse, mode)
-            line = format_path_line(42, seq)
-            assert parse_path_line(line, mode) == (42, seq)
+    @given(path_lines())
+    @example((10**40, NodeSequence(("é", ARROW_TO_HEAD, "→", "中"), PathMode.LABELED)))
+    def test_round_trip(self, line):
+        inst_id, seq = line
+        assert parse_path_line(format_path_line(inst_id, seq) + "\n", seq.mode) == line
 
     def test_malformed_lines_rejected(self):
         with pytest.raises(PathError):

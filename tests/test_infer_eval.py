@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import reference_table
 import sdprel.infer_eval as infer_eval
@@ -388,6 +390,11 @@ def assert_matches_reference(got, want, instances):
         assert abs(g.confidence - w.confidence) <= 1e-12
 
 
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("predictions")
+
+
 def prediction(inst_id, label):
     return Prediction(inst_id, None, None, label, 1.0)
 
@@ -398,8 +405,10 @@ class TestPredictionFiles:
         write_predictions([prediction(43, CE21), prediction(42, OTHER_LABEL)], path)
         assert path.read_text() == "42\tOther\n43\tCause-Effect(e2,e1)\n"
 
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "pred.tsv"
-        rows = [(1, CE12), (2, OTHER_LABEL), (3, CW21)]
+    @given(st.lists(st.tuples(st.integers(min_value=0), st.sampled_from(L3.all_directed())),
+                    unique_by=lambda row: row[0]))
+    @example([(10**40, CE12), (0, OTHER_LABEL), (7, CW21)])
+    def test_round_trip(self, workdir, rows):
+        path = workdir / "pred.tsv"
         write_predictions([prediction(i, label) for i, label in rows], path)
-        assert read_predictions(path, L3) == rows
+        assert read_predictions(path, L3) == sorted(rows)

@@ -230,38 +230,32 @@ class TestLoss:
     def test_uniform_probabilities_one_hot_target(self):
         hp = Hyperparams(d=2, w=3, n1=3, n2=2, K=10,
                          lambda_we=0, lambda_w1=0, lambda_w2=0, lambda_w3=0)
-        probs = np.full(10, 0.1)
-        target = np.zeros(10)
-        target[3] = 1.0
-        got = loss(probs, target, zero_params(hp), hp, ())
+        got = loss(np.full(10, 0.1), 3, zero_params(hp), hp, ())
         assert abs(got - math.log(10)) < 1e-12
 
-    def test_an_underflowed_probability_off_the_target_adds_nothing(self):
-        hp = Hyperparams(d=2, w=3, n1=3, n2=2, K=3,
-                         lambda_we=0, lambda_w1=0, lambda_w2=0, lambda_w3=0)
-        target = np.array([0.0, 1.0, 0.0])
-        got = loss(np.array([0.0, 0.5, 0.5]), target, zero_params(hp), hp, ())
-        assert got == -math.log(0.5)
-
-    def test_matching_distribution_minimizes_cross_entropy(self):
-        hp = Hyperparams(d=2, w=3, n1=3, n2=2, K=5,
+    def test_unregularized_loss_is_exactly_minus_the_log_of_the_gold_probability(self):
+        hp = Hyperparams(d=2, w=3, n1=3, n2=2, K=19,
                          lambda_we=0, lambda_w1=0, lambda_w2=0, lambda_w3=0)
         params = zero_params(hp)
-        rng = np.random.default_rng(7)
-        target = rng.uniform(0.05, 1.0, size=5)
-        target /= target.sum()
-        at_target = loss(target, target, params, hp, ())
-        for _ in range(20):
-            q = rng.uniform(0.01, 1.0, size=5)
-            q /= q.sum()
-            assert loss(q, target, params, hp, ()) >= at_target
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            probs = softmax(rng.normal(scale=4, size=hp.K))
+            gold = int(rng.integers(hp.K))
+            assert loss(probs, gold, params, hp, ()) == -np.log(probs[gold])
+
+    def test_an_underflowed_probability_off_the_target_adds_nothing(self):
+        # Logging the 0.0 would warn, and the suite turns RuntimeWarnings into errors.
+        hp = Hyperparams(d=2, w=3, n1=3, n2=2, K=3,
+                         lambda_we=0, lambda_w1=0, lambda_w2=0, lambda_w3=0)
+        got = loss(np.array([0.0, 0.5, 0.5]), 1, zero_params(hp), hp, ())
+        assert got == -math.log(0.5)
 
     def test_regularization_contribution(self):
         hp = Hyperparams(d=2, w=1, n1=2, n2=2, K=1,
                          lambda_we=0, lambda_w1=1.0, lambda_w2=0, lambda_w3=0)
         params = zero_params(hp)
         params.W1 = np.eye(2)
-        got = loss(np.array([1.0]), np.array([1.0]), params, hp, ())
+        got = loss(np.array([1.0]), 0, params, hp, ())
         assert got == 2.0  # cross entropy is zero; ||I||_F^2 = 2
 
     def test_touched_columns_restrict_embedding_penalty(self):
@@ -269,43 +263,43 @@ class TestLoss:
                          lambda_we=1.0, lambda_w1=0, lambda_w2=0, lambda_w3=0)
         params = zero_params(hp, vocab_size=4)
         params.We = np.ones((2, 4))
-        probs, target = np.array([1.0]), np.array([1.0])
-        assert loss(probs, target, params, hp, regularized_columns([2])) == 2.0
-        assert loss(probs, target, params, hp, ()) == 0.0
+        probs = np.array([1.0])
+        assert loss(probs, 0, params, hp, regularized_columns([2])) == 2.0
+        assert loss(probs, 0, params, hp, ()) == 0.0
 
 
 class TestBackward:
+    GOLD = 1
+
     def _setup(self, **overrides):
         kwargs = dict(d=3, w=3, n1=4, n2=3, K=4,
                       lambda_we=0, lambda_w1=0, lambda_w2=0, lambda_w3=0)
         kwargs.update(overrides)
         hp = Hyperparams(**kwargs)
-        params = random_params(hp, seed=11)
-        target = np.zeros(hp.K)
-        target[1] = 1.0
-        return hp, params, target
+        return hp, random_params(hp, seed=11)
 
     def test_score_layer_gradient_is_probs_minus_target(self):
-        hp, params, target = self._setup()
+        hp, params = self._setup()
         probs, cache = forward(params, hp, [2, 3, 4])
-        grads = backward(cache, target, params, hp)
-        assert np.allclose(grads.b3, probs - target, atol=1e-15)
-        assert np.allclose(grads.W3, np.outer(probs - target, cache.combined), atol=1e-15)
+        grads = backward(cache, self.GOLD, params, hp)
+        dscores = probs - np.eye(hp.K)[self.GOLD]
+        assert grads.b3.tobytes() == dscores.tobytes()
+        assert grads.W3.tobytes() == np.outer(dscores, cache.combined).tobytes()
 
     def test_untouched_embedding_columns_absent(self):
-        hp, params, target = self._setup(lambda_we=0.5)
+        hp, params = self._setup(lambda_we=0.5)
         indices = [3, 5, 3]
         _, cache = forward(params, hp, indices)
-        grads = backward(cache, target, params, hp)
+        grads = backward(cache, self.GOLD, params, hp)
         assert regularized_columns(indices) == [3, 5]
         assert grads.We.shape == (hp.d, 2)
 
     def test_mismatched_hyperparams_rejected(self):
-        hp, params, target = self._setup()
+        hp, params = self._setup()
         _, cache = forward(params, hp, [2, 3])
         other = Hyperparams(d=3, w=3, n1=4, n2=3, K=5)
         with pytest.raises(ValueError):
-            backward(cache, target, params, other)
+            backward(cache, self.GOLD, params, other)
 
 
 class TestGradCheck:

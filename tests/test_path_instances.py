@@ -1,7 +1,7 @@
 """``build_path_instances``: the path orientation of each regime, reversed and
 pool negatives, lexical features, and skipped instances, compared as node
-strings against the breadth-first reference extraction; the one-hot
-targets that ``to_labeled`` gives their labels; and that ``run_training``
+strings against the breadth-first reference extraction; the class
+indices that ``to_labeled`` gives their labels; and that ``run_training``
 holds no path once they are indexed."""
 
 import gc
@@ -151,7 +151,7 @@ def test_instances_without_a_path_are_skipped_and_their_ids_returned(monkeypatch
     (Regime.SIGHTED, [1, 1, 3, 3]),
     (Regime.SIGHTED_NS, [1, 1, 3, 3]),
 ])
-def test_to_labeled_one_hots_the_class_index_of_each_label(regime, expected):
+def test_to_labeled_gives_the_class_index_of_each_label(regime, expected):
     labels = LabelSet(("RelA", "RelB", "RelC"))
     seq = NodeSequence(("a", "→", "nsubj", "b"), PathMode.LABELED)
     path_instances = [
@@ -163,17 +163,15 @@ def test_to_labeled_one_hots_the_class_index_of_each_label(regime, expected):
     ]
     vocab = build_vocab([seq])
     out = to_labeled(path_instances, vocab, labels, regime)
-    K = 2 * 3 + 1 if regime is Regime.BLIND else 3 + 1
     assert [inst.id for inst in out] == [1, 2, 2, 3]
     assert all(inst.indices == vocab.indexify(seq) for inst in out)
-    for inst, k in zip(out, expected):
-        assert np.array_equal(inst.target, np.eye(K)[k])
+    assert [inst.gold for inst in out] == expected
 
 
 @pytest.mark.parametrize("regime", [Regime.SIGHTED, Regime.SIGHTED_NS])
-def test_swapped_nominals_give_the_same_paths_and_targets(regime):
+def test_swapped_nominals_give_the_same_paths_and_classes(regime):
     # Swapping e1 and e2 and reversing the gold label keeps every path and
-    # target; only whether each path starts at e2 flips.
+    # class; only whether each path starts at e2 flips.
     instances = [i for i in aligned_corpus(30, seed=15) if not i.raw.label.is_other]
     swapped = [replace(i, raw=with_swapped_spans(i.raw)) for i in instances]
     original, _ = build_path_instances(instances, CONFIGS[regime])
@@ -186,7 +184,7 @@ def test_swapped_nominals_give_the_same_paths_and_targets(regime):
     vocab = build_vocab(p.seq for p in original)
     for a, b in zip(*(to_labeled(p, vocab, SYNTH_LABELS, regime) for p in (original, mirrored))):
         assert a.indices == b.indices
-        assert np.array_equal(a.target, b.target)
+        assert a.gold == b.gold
 
 
 def test_no_path_instance_is_alive_while_train_runs(monkeypatch):

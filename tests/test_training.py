@@ -13,6 +13,7 @@ import sdprel.training as training
 from sdprel.corpus import DEFAULT_LABELS
 from sdprel.network import BLOCKS, Hyperparams, NumericError, init_network_params
 from sdprel.training import EpochStats, LabeledInstance, TrainConfig, train, write_history
+from helpers import nan_probability_forward
 from model_peak_rss import TRAIN_COPIES, parameter_bytes, peak_rise
 
 HP = Hyperparams(d=3, w=3, n1=4, n2=3, K=3)
@@ -24,8 +25,7 @@ def small_problem():
     We[:, 0] = 0.0
     params = init_network_params(HP, We, seed=1)
     train_set = [
-        LabeledInstance(i, tuple(int(j) for j in rng.integers(1, 8, size=4)), None,
-                        np.eye(HP.K)[i % HP.K])
+        LabeledInstance(i, tuple(int(j) for j in rng.integers(1, 8, size=4)), None, i % HP.K)
         for i in range(6)
     ]
     return params, train_set
@@ -167,11 +167,10 @@ def test_training_and_dev_evaluation_run_on_one_blas_thread(blas_threads):
     assert blas_threads() == 2
 
 
-def test_the_blas_thread_count_is_restored_after_a_numeric_error(blas_threads):
+def test_the_blas_thread_count_is_restored_after_a_numeric_error(blas_threads, monkeypatch):
+    monkeypatch.setattr(training, "forward", nan_probability_forward)
     params, _ = small_problem()
-    target = np.zeros(HP.K)
-    target[0] = np.nan
-    inst = LabeledInstance(7, (2, 3, 4), None, target)
+    inst = LabeledInstance(7, (2, 3, 4), None, 1)
     with pytest.raises(NumericError, match=r"epoch 1, instance 7: .*'gradients'"):
         train(TrainConfig(max_epochs=1), [inst], params, HP)
     assert blas_threads() == 2

@@ -28,6 +28,7 @@ from sdprel.training import (
     run_training,
     train,
 )
+from helpers import nan_probability_forward
 from synth import SYNTH_LABELS, aligned_corpus
 
 BLOCKS = ("We", "W1", "b1", "W2", "b2", "W3", "b3")
@@ -35,7 +36,7 @@ VOCAB_SIZE = 12
 
 
 def random_case(rng):
-    """A random network, path and target over the configurations the step covers."""
+    """A random network, path and gold class over the configurations the step covers."""
     hp = Hyperparams(
         d=int(rng.integers(1, 6)), w=int(rng.choice([1, 3, 5])),
         n1=int(rng.integers(1, 9)), n2=int(rng.integers(1, 7)),
@@ -57,13 +58,7 @@ def random_case(rng):
     # A small vocab makes ids repeat within a window; id 0 is the pad id.
     indices = tuple(int(i) for i in rng.integers(0, VOCAB_SIZE, size=rng.integers(1, 31)))
     lexfeat = rng.normal(size=hp.f) if hp.f else None
-    target = np.zeros(hp.K)
-    if rng.integers(2):
-        a, b = rng.choice(hp.K, size=2, replace=False)
-        target[a] = target[b] = 0.5
-    else:
-        target[rng.integers(hp.K)] = 1.0
-    return hp, params, indices, lexfeat, target
+    return hp, params, indices, lexfeat, int(rng.integers(hp.K))
 
 
 def assert_relative(got, want, rtol=1e-12):
@@ -85,10 +80,10 @@ def test_window_concat_is_bit_exact_and_contiguous(seed):
 
 @pytest.mark.parametrize("seed", CASES)
 def test_backward_matches_loop_reference(seed):
-    hp, params, indices, lexfeat, target = random_case(np.random.default_rng(seed))
+    hp, params, indices, lexfeat, gold = random_case(np.random.default_rng(seed))
     _, cache = forward(params, hp, indices, lexfeat)
-    got = backward(cache, target, params, hp)
-    want = ref.backward(cache, target, params, hp)
+    got = backward(cache, gold, params, hp)
+    want = ref.backward(cache, gold, params, hp)
     for name in BLOCKS:
         assert_relative(getattr(got, name), getattr(want, name))
     assert got.We.shape == (hp.d, len(regularized_columns(indices)))
@@ -101,17 +96,17 @@ def test_all_pad_path_trains_no_embedding_column():
         b2=np.zeros(2), W3=np.ones((2, 2)), b3=np.zeros(2),
     )
     _, cache = forward(params, hp, [PAD_INDEX, PAD_INDEX])
-    got = backward(cache, np.array([1.0, 0.0]), params, hp)
-    want = ref.backward(cache, np.array([1.0, 0.0]), params, hp)
+    got = backward(cache, 0, params, hp)
+    want = ref.backward(cache, 0, params, hp)
     assert got.We.shape == want.We.shape == (2, 0)
 
 
 @pytest.mark.parametrize("seed", CASES)
 def test_adagrad_update_matches_per_column_reference(seed):
     rng = np.random.default_rng(seed)
-    hp, params, indices, lexfeat, target = random_case(rng)
+    hp, params, indices, lexfeat, gold = random_case(rng)
     _, cache = forward(params, hp, indices, lexfeat)
-    grads = ref.backward(cache, target, params, hp)
+    grads = ref.backward(cache, gold, params, hp)
     grads_before = copy.deepcopy(grads)
     state = AdagradState(NetworkParams(*(rng.uniform(0.0, 2.0, size=m.shape) for m in params.blocks())))
 
@@ -195,6 +190,9 @@ def test_two_trainings_in_one_process_save_identical_bytes(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+GOLD = 1
+
+
 def small_case(**overrides):
     kwargs = dict(d=3, w=3, n1=4, n2=3, K=4)
     kwargs.update(overrides)
@@ -202,10 +200,7 @@ def small_case(**overrides):
     rng = np.random.default_rng(2)
     We = rng.uniform(-0.25, 0.25, size=(hp.d, 8))
     We[:, PAD_INDEX] = 0.0
-    params = network.init_network_params(hp, We, 3)
-    target = np.zeros(hp.K)
-    target[1] = 1.0
-    return hp, params, target
+    return hp, network.init_network_params(hp, We, 3)
 
 
 def count_checks(monkeypatch):
@@ -222,9 +217,9 @@ def count_checks(monkeypatch):
 
 def test_finite_step_runs_no_per_layer_check(monkeypatch):
     calls = count_checks(monkeypatch)
-    hp, params, target = small_case()
+    hp, params = small_case()
     _, cache = forward(params, hp, [2, 3, 4, 5])
-    backward(cache, target, params, hp)
+    backward(cache, GOLD, params, hp)
     assert calls == []
 
 
@@ -245,41 +240,41 @@ def test_overflowing_sum_falls_back_without_raising(monkeypatch):
 
 def test_overflowing_gradient_squares_fall_back_without_raising(monkeypatch):
     calls = count_checks(monkeypatch)
-    hp, params, target = small_case(lambda_w1=1e200)
+    hp, params = small_case(lambda_w1=1e200)
     _, cache = forward(params, hp, [2, 3, 4])
-    grads = backward(cache, target, params, hp)
+    grads = backward(cache, GOLD, params, hp)
     assert np.all(np.isfinite(grads.W1)) and np.isinf(np.vdot(grads.W1, grads.W1))
     assert calls == ["gradients"] * 7
 
 
 @pytest.mark.parametrize("block, layer", [("W2", "hidden"), ("W3", "scores")])
 def test_nonfinite_layer_is_named(block, layer):
-    hp, params, _ = small_case()
+    hp, params = small_case()
     getattr(params, block)[0, 0] = np.nan
     with pytest.raises(NumericError, match=layer):
         forward(params, hp, [2, 3])
 
 
-def test_nan_target_raises_gradients():
-    hp, params, target = small_case()
-    target[0] = np.nan
+def test_nan_probability_raises_gradients():
+    hp, params = small_case()
     _, cache = forward(params, hp, [2, 3, 4])
+    cache.probs[0] = np.nan
     with pytest.raises(NumericError, match="gradients"):
-        backward(cache, target, params, hp)
+        backward(cache, GOLD, params, hp)
 
 
 def test_overflowing_regularizer_raises_gradients_after_finite_forward():
-    hp, params, target = small_case(lambda_w3=1e308)
+    hp, params = small_case(lambda_w3=1e308)
     probs, cache = forward(params, hp, [2, 3, 4])
     assert np.all(np.isfinite(probs))
     with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="gradients"):
-        backward(cache, target, params, hp)
+        backward(cache, GOLD, params, hp)
 
 
-def test_train_names_epoch_and_instance_of_nonfinite_gradient():
-    hp, params, target = small_case()
-    target[0] = np.nan
-    inst = LabeledInstance(7, (2, 3, 4), None, target)
+def test_train_names_epoch_and_instance_of_nonfinite_gradient(monkeypatch):
+    monkeypatch.setattr(training, "forward", nan_probability_forward)
+    hp, params = small_case()
+    inst = LabeledInstance(7, (2, 3, 4), None, GOLD)
     config = config_from_mapping({"max_epochs": "1"})
     with pytest.raises(NumericError, match=r"epoch 1, instance 7: .*'gradients'"):
         train(config, [inst], params, hp)
