@@ -58,37 +58,27 @@ PIECE_BYTES = 1 << 16
 def read_lines(path: str | Path, error: type[ValueError] = CorpusError) -> Iterator[str]:
     """The lines of a UTF-8 file, ended only at ``\\n`` (``\\r\\n`` counts as one end).
 
-    The file is read ``PIECE_BYTES`` at a time, and each piece is cut after
-    its last ``\\n`` and decoded whole, so only one piece and the lines it
-    ends are held at once.  ``str.splitlines`` would also end a line at a
-    form feed, U+2028 and other separators that can stand inside a line.
-    Bytes that do not decode raise ``error`` naming the file and the 1-based
-    line they are on, counted the same way, when the reading reaches their
-    piece.  Text after the last ``\\n`` is the last line, empty if the file
-    ends with ``\\n``.
+    The file is read ``PIECE_BYTES`` at a time, each piece finished through
+    the end of its last line and decoded whole, so only one piece and the
+    lines it holds are held at once.  ``str.splitlines`` would also end a
+    line at a form feed, U+2028 and other separators that can stand inside a
+    line.  Bytes that do not decode raise ``error`` naming the file and the
+    1-based line they are on, counted the same way, when the reading reaches
+    their piece.  Text after the last ``\\n`` is the last line, empty if the
+    file ends with ``\\n``.
     """
-
-    def split(data: bytes, line: int) -> list[str]:
-        try:
-            return data.decode("utf-8").replace("\r\n", "\n").split("\n")
-        except UnicodeDecodeError as e:
-            line += data.count(b"\n", 0, e.start)
-            raise error(f"{path}: line {line}: not valid UTF-8") from None
-
-    line = 1
+    line, last = 1, ""
     with open(path, "rb") as f:
-        start: list[bytes] = []  # the pieces of a line begun in earlier pieces
         while piece := f.read(PIECE_BYTES):
-            cut = piece.rfind(b"\n") + 1
-            if not cut:
-                start.append(piece)
-                continue
-            lines = split(b"".join([*start, piece[:cut]]), line)
-            lines.pop()  # the empty text after the cut
-            start = [piece[cut:]]
+            piece += f.readline()  # through the next \n, or to the end of the file
+            try:
+                *lines, last = piece.decode("utf-8").replace("\r\n", "\n").split("\n")
+            except UnicodeDecodeError as e:
+                line += piece.count(b"\n", 0, e.start)
+                raise error(f"{path}: line {line}: not valid UTF-8") from None
             line += len(lines)
             yield from lines
-        yield from split(b"".join(start), line)
+    yield last
 
 
 #: Small decimals by their spelling: a lookup is several times faster than
@@ -443,9 +433,9 @@ def read_conll(path: str | Path) -> list[ParsedSentence]:
     """Read a CoNLL file: columns ID FORM LEMMA CPOS POS FEATS HEAD DEPREL.
 
     Extra columns are ignored, HEAD=0 marks the root, blank lines separate
-    sentences.  A DEPREL may not hold whitespace, which a path file would
-    split, and head structure is validated to be a single tree; an error
-    names the sentence and the line of the offending token, or the
+    sentences.  A DEPREL must be non-empty and hold no whitespace, as a path
+    file's nodes must, and head structure is validated to be a single tree;
+    an error names the sentence and the line of the offending token, or the
     sentence's first line when the fault is the whole sentence's.
     """
     sentences: list[ParsedSentence] = []
@@ -477,9 +467,9 @@ def read_conll(path: str | Path) -> list[ParsedSentence]:
         except ValueError as e:
             raise CorpusError(f"{path}: sentence {ordinal}, line {lineno}: {e}") from None
         deprel = arc_label(cols[7], cols[7])
-        if deprel is cols[7] and deprel and deprel.split() != [deprel]:
+        if deprel is cols[7] and deprel.split() != [deprel]:
             raise CorpusError(f"{path}: sentence {ordinal}, line {lineno}: "
-                              f"DEPREL {deprel!r} holds whitespace")
+                              f"DEPREL {deprel!r} is empty or holds whitespace")
         forms.append(cols[1])
         heads.append(head - 1 if head else None)
         deprels.append(deprel)

@@ -178,9 +178,10 @@ def format_path_line(inst_id: int, s: NodeSequence) -> str:
 
 
 def parse_path_line(line: str, mode: PathMode) -> tuple[int, NodeSequence]:
-    """Inverse of format_path_line; validates the id, the arrows, then the length.
-    Only trailing ``\\n`` are dropped: the id must be ASCII digits alone, nodes
-    split at single spaces, and any other blank (a tab, a lone ``\\r``) stays in its node."""
+    """Inverse of format_path_line; validates the id, the nodes, the arrows, then
+    the length.  Only trailing ``\\n`` are dropped: the id must be ASCII digits
+    alone, nodes split at single spaces, and a node must be non-empty and hold no
+    whitespace, so a tab, a lone ``\\r`` or a second space is an error."""
     try:
         id_part, rest = line.rstrip("\n").split("\t", 1)
     except ValueError:
@@ -188,6 +189,9 @@ def parse_path_line(line: str, mode: PathMode) -> tuple[int, NodeSequence]:
     texts = tuple(rest.split(" "))
     try:
         inst_id = parse_decimal(id_part, "instance id")
+        for text in texts:
+            if text.split() != [text]:
+                raise ValueError(f"node {text!r} is empty or holds whitespace")
         for arrow in texts[1 :: _step(mode)]:
             if arrow not in _FLIPPED:
                 raise ValueError(f"invalid arrow token {arrow!r}")

@@ -253,7 +253,8 @@ def build_path_instances(
 
 def read_pool_file(path: str | Path, mode: PathMode) -> list[tuple[int, NodeSequence]]:
     """Read pre-encoded negative paths (extract-paths output format): lines end at
-    ``\\n`` or ``\\r\\n``, blank ones are skipped, and ``parse_path_line`` strips nothing."""
+    ``\\n`` or ``\\r\\n``, blank ones are skipped, and ``parse_path_line`` strips
+    nothing, so a node that is empty or holds whitespace is an error naming the line."""
     try:
         return parse_lines(path, lambda line: parse_path_line(line, mode), ConfigError)
     except OSError as e:
@@ -435,19 +436,20 @@ def train(
     train_set: Sequence[LabeledInstance],
     params: NetworkParams,
     hp: Hyperparams,
-    dev_evaluator: Callable[[NetworkParams], float] | None = None,
+    dev_evaluator: Callable[[NetworkParams], float],
 ) -> tuple[NetworkParams, list[EpochStats]]:
     """Run epochs of per-example SGD with AdaGrad, early-stopped on dev F1.
 
-    Keeps the best-dev parameter snapshot; stops after ``patience`` epochs
-    without improvement.  Without a dev evaluator it runs max_epochs and
-    returns the final parameters.  A non-finite layer, loss or gradient
-    raises NumericError naming the epoch and the instance.
+    ``dev_evaluator`` is required: it scores the live parameters after each
+    epoch.  ``train`` returns the snapshot of the first epoch with the best
+    score, never the live parameters, and stops after ``patience`` epochs
+    without improvement or at ``max_epochs``.  A non-finite layer, loss or
+    gradient raises NumericError naming the epoch and the instance.
 
-    There is one snapshot: it is allocated at the first improving epoch and
-    overwritten in place at each later one, so training's peak memory is
-    the live parameters, the AdaGrad sums, one snapshot and the step
-    temporaries.
+    There is one snapshot: it is allocated at the end of epoch 1, whatever
+    its score, and overwritten in place at each later improving epoch, so
+    training's peak memory is the live parameters, the AdaGrad sums, one
+    snapshot and the step temporaries.
 
     The epochs, dev evaluation included, run with numpy's OpenBLAS at one
     thread (``one_blas_thread``).  Each step's matrix-vector products are
@@ -482,25 +484,22 @@ def train(
                 adagrad_update(params, grads, cols, state, config.learning_rate, config.epsilon)
             mean_loss = total / len(train_set)
 
-            dev_f1 = float("nan")
-            if dev_evaluator is not None:
-                dev_f1 = dev_evaluator(params)
-                if dev_f1 > best_f1:
-                    best_f1 = dev_f1
-                    if best_params is None:
-                        best_params = params.copy()
-                    else:
-                        for kept, live in zip(best_params.blocks(), params.blocks()):
-                            np.copyto(kept, live)
-                    stale = 0
-                else:
-                    stale += 1
+            dev_f1 = dev_evaluator(params)
             history.append(EpochStats(epoch, mean_loss, dev_f1))
-            if dev_evaluator is not None and stale >= config.patience:
-                break
+            if best_params is None or dev_f1 > best_f1:  # epoch 1 keeps one, even of NaN
+                best_f1 = dev_f1
+                if best_params is None:
+                    best_params = params.copy()
+                else:
+                    for kept, live in zip(best_params.blocks(), params.blocks()):
+                        np.copyto(kept, live)
+                stale = 0
+            else:
+                stale += 1
+                if stale >= config.patience:
+                    break
 
-    final = best_params if best_params is not None else params
-    return final, history
+    return best_params, history
 
 
 def write_history(history: Sequence[EpochStats], path: str | Path) -> None:
@@ -517,15 +516,20 @@ def write_history(history: Sequence[EpochStats], path: str | Path) -> None:
 def run_training(
     config: TrainConfig,
     train_instances: Sequence[AlignedInstance],
-    dev_instances: Sequence[AlignedInstance] | None,
+    dev_instances: Sequence[AlignedInstance],
     labels: LabelSet,
 ) -> tuple[TrainedModel, list[EpochStats], dict]:
     """Wire the whole pipeline: paths, vocab, embeddings, SGD, dev scoring.
+
+    A dev split is required, as ``train`` keeps the epoch with the best dev
+    macro-F1: an empty or missing one raises ConfigError before any file is read.
 
     The encoded paths live only until ``to_labeled`` has indexed them: SGD
     and the dev evaluator read the indexed set and the dev instances, so
     the paths' node strings are not held through the epochs.
     """
+    if not dev_instances:
+        raise ConfigError("training needs a dev split with at least one instance")
     lexfeats = read_lex_features(config.lex_features_path) if config.lex_features_path else None
     f = lexfeat_length(lexfeats)
 
@@ -547,14 +551,12 @@ def run_training(
     del paths
 
     model = TrainedModel(hp, vocab, labels, config.mode, config.regime, params)
-    dev_evaluator = None
-    if dev_instances:
-        dev_gold = [inst.raw.label for inst in dev_instances]
+    dev_gold = [inst.raw.label for inst in dev_instances]
 
-        def dev_evaluator(current: NetworkParams) -> float:
-            snapshot = replace(model, params=current)
-            preds, _ = predict_corpus(snapshot, dev_instances, lexfeats)
-            return macro_f1(dev_gold, [p.final for p in preds], labels).macro_f1
+    def dev_evaluator(current: NetworkParams) -> float:
+        snapshot = replace(model, params=current)
+        preds, _ = predict_corpus(snapshot, dev_instances, lexfeats)
+        return macro_f1(dev_gold, [p.final for p in preds], labels).macro_f1
 
     best, history = train(config, train_set, params, hp, dev_evaluator)
     model.params = best

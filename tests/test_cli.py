@@ -223,6 +223,8 @@ def test_pool_file_errors_name_the_file_and_line(files, tmp_path, capsys):
     for line, fault in [
         ("1\tnot a path", "invalid arrow token 'a'"),
         (" 1\tsinger ← nsubj caused", "instance id ' 1' is not a decimal number"),  # int() reads 1
+        ("1\tsinger ← nsubj caused ", "node '' is empty or holds whitespace"),
+        ("1\tsinger ← nsubj caused\t", "node 'caused\\t' is empty or holds whitespace"),
     ]:
         pool.write_text(f"7\tsinger ← nsubj caused\n{line}\n", encoding="utf-8")
         code = train(files, tmp_path / "model.json",
@@ -305,7 +307,7 @@ def test_a_deprel_holding_whitespace_stops_extract_paths_naming_the_line(
     assert code == 1
     err = capsys.readouterr().err
     where = f"sentence {lines[:n].count('') + 1}, line {n + 1}"
-    assert f"{conll}: {where}: DEPREL 'nsubj pass' holds whitespace" in err
+    assert f"{conll}: {where}: DEPREL 'nsubj pass' is empty or holds whitespace" in err
     assert not (tmp_path / "pool.paths").exists()
 
 

@@ -130,13 +130,13 @@ def test_crlf_lines_read_as_lf_lines(tmp_path):
         read_conll(path)
 
 
-@pytest.mark.parametrize("deprel", ["nsubj pass", "det ", " det", "a\x0bb", "\u3000"])
+@pytest.mark.parametrize("deprel", ["nsubj pass", "det ", " det", "a\x0bb", "\u3000", ""])
 def test_a_deprel_holding_whitespace_is_rejected_naming_the_sentence_and_line(
     tmp_path, deprel
 ):
     path = _conll(tmp_path / "t.conll", [("a", 0)], [("b", 2), ("c", 0)])
     path.write_text(path.read_text().replace("2\tc\t_\t_\t_\t_\t0\tdep",
                                              f"2\tc\t_\t_\t_\t_\t0\t{deprel}"))
-    message = f"{path}: sentence 2, line 4: DEPREL {deprel!r} holds whitespace"
+    message = f"{path}: sentence 2, line 4: DEPREL {deprel!r} is empty or holds whitespace"
     with pytest.raises(CorpusError, match="^" + re.escape(message) + "$"):
         read_conll(path)

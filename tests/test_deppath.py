@@ -283,6 +283,13 @@ class TestPathLines:
         # a bad arrow is reported before a bad length, and the first one first
         ("a → b c ← d e", PathMode.DIRECTIONS_ONLY, "invalid arrow token 'c'"),
         ("a x r b ← s", PathMode.LABELED, "invalid arrow token 'x'"),
+        # a node must be non-empty and hold no whitespace; nodes are checked before arrows
+        ("a → b\t", PathMode.DIRECTIONS_ONLY, "node 'b\\t' is empty or holds whitespace"),
+        ("a\r → b", PathMode.DIRECTIONS_ONLY, "node 'a\\r' is empty or holds whitespace"),
+        ("a → r ", PathMode.LABELED, "node '' is empty or holds whitespace"),
+        ("a →  b", PathMode.LABELED, "node '' is empty or holds whitespace"),
+        ("", PathMode.DIRECTIONS_ONLY, "node '' is empty or holds whitespace"),
+        ("a\tx b", PathMode.DIRECTIONS_ONLY, "node 'a\\tx' is empty or holds whitespace"),
     ])
     def test_malformed_line_names_the_first_fault(self, rest, mode, fault):
         line = f"1\t{rest}"

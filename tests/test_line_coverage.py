@@ -32,6 +32,8 @@ from types import CodeType
 
 import pytest
 
+from conftest import GATE_SKIPPED
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE_DIR = ROOT / "src" / "sdprel"
 
@@ -120,7 +122,7 @@ def test_allowlist_entries_carry_a_reason():
     assert all(reason.strip() for reason in ALLOWLIST.values())
 
 
-WHOLE_SUITE_ONLY = "*lines are traced only when the whole suite runs*"
+WHOLE_SUITE_ONLY = "lines are traced only when the whole suite runs*"
 
 
 class GateFirst:
@@ -140,14 +142,15 @@ class GateFirst:
     (("tests/test_gate.py::test_every_package_line_runs_in_the_tier1_suite",),
      0, WHOLE_SUITE_ONLY),
     (("tests/test_gate.py",), 0, WHOLE_SUITE_ONLY),
-    (("-k", "every_package_line"), 0, "*2 tests were deselected*"),
-    (("--deselect", "tests/test_sign.py::test_sign"), 1, "*1 tests were deselected*"),
+    (("-k", "every_package_line"), 0, "2 tests were deselected*"),
+    (("--deselect", "tests/test_sign.py::test_sign"), 1, "1 tests were deselected*"),
 ])
 def test_the_plugin_checks_only_a_whole_suite_run(pytester, args, passed, skip_reason):
     """A small project under the root conftest: ``src/throwaway.py`` is
     imported while ``benchmark/tests`` is collected, and ``test_sign`` calls
     it, so the gate sees every line only when the import was traced and the
-    gate was moved behind ``test_sign`` after ``GateFirst`` put it first."""
+    gate was moved behind ``test_sign`` after ``GateFirst`` put it first.
+    Each skip reason starts with ``GATE_SKIPPED``, which CI looks for."""
     pytester.makeini("[pytest]\npythonpath = src\n")
     pytester.makeconftest((ROOT / "conftest.py").read_text(encoding="utf-8"))
     for directory in ("src", "tests", "benchmark", "benchmark/tests"):
@@ -172,7 +175,7 @@ def test_the_plugin_checks_only_a_whole_suite_run(pytester, args, passed, skip_r
                                 "-p", "no:hypothesispytest", plugins=[GateFirst()])
     result.assert_outcomes(passed=passed, skipped=int(skip_reason is not None))
     if skip_reason is not None:
-        result.stdout.fnmatch_lines([f"SKIPPED*{skip_reason}"])
+        result.stdout.fnmatch_lines([f"SKIPPED*: {GATE_SKIPPED}{skip_reason}"])
 
 
 def test_every_package_line_runs_in_the_tier1_suite(package_lines_run):

@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import math
 import os
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sdprel.model
 from model_peak_rss import peak_rise
@@ -17,8 +20,8 @@ from sdprel.corpus import LabelSet
 from sdprel.deppath import PathMode
 from sdprel.embeddings import Vocab
 from sdprel.infer_eval import predict_corpus
-from sdprel.model import Regime, TrainedModel, load_model, save_model
-from sdprel.network import Hyperparams, init_network_params
+from sdprel.model import Regime, TrainedModel, class_labels, load_model, save_model
+from sdprel.network import BLOCKS, Hyperparams, NetworkParams, block_shapes, init_network_params
 from synth import aligned_corpus
 
 
@@ -106,13 +109,57 @@ def test_loading_a_paper_sized_model_raises_the_peak_rss_by_less_than_the_file_s
     assert rise < path.stat().st_size, f"peak RSS rose {rise} B for a {path.stat().st_size} B file"
 
 
-def test_round_trip_is_bit_exact(tmp_path):
-    model = small_model()
-    path = tmp_path / "model.json"
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("models")
+
+
+#: Texts that a model file must escape or that its streamed layout searches for.
+AWKWARD_TEXTS = ['"', "\\", "]", "}}", ', "params": {', '"]}', "😀", "\u2028", "<pad> "]
+VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 1e308, -1e308]
+)
+
+
+@st.composite
+def any_models(draw):
+    """Any vocabulary items, word-string subset, valid label bases, mode,
+    regime with its class count, sizes with ``f`` in 0-2, and finite values."""
+    items = ("<pad>", "<unk>", *draw(st.lists(
+        (st.text() | st.sampled_from(AWKWARD_TEXTS)).filter(lambda s: s not in ("<pad>", "<unk>")),
+        max_size=6, unique=True,
+    )))
+    base = st.text(st.characters(exclude_characters="\t\r\n"), min_size=1).map(str.strip)
+    bases = draw(st.lists(base.filter(lambda b: b and b != "Other"),
+                          min_size=1, max_size=3, unique=True))
+    labels, regime = LabelSet(tuple(bases)), draw(st.sampled_from(Regime))
+    weight = st.floats(0, 1e308)
+    hp = Hyperparams(d=draw(st.integers(1, 3)), w=draw(st.sampled_from([1, 3])),
+                     n1=draw(st.integers(1, 3)), n2=draw(st.integers(1, 3)),
+                     K=len(class_labels(regime, labels)), f=draw(st.integers(0, 2)),
+                     lambda_we=draw(weight), lambda_w1=draw(weight),
+                     lambda_w2=draw(weight), lambda_w3=draw(weight))
+    params = NetworkParams(**{
+        name: np.array(draw(st.lists(VALUES, min_size=math.prod(shape),
+                                     max_size=math.prod(shape))), dtype=np.float64).reshape(shape)
+        for name, shape in block_shapes(hp, len(items)).items()
+    })
+    vocab = Vocab(items, frozenset(draw(st.sets(st.sampled_from(items)))))
+    return TrainedModel(hp, vocab, labels, draw(st.sampled_from(PathMode)), regime, params)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=any_models())
+@example(model=small_model())
+@example(model=edge_value_model())
+@example(model=small_model(items=("<pad>", "<unk>", *AWKWARD_TEXTS), bases=('Rel "A"', "B]}}")))
+def test_round_trip_is_bit_exact(workdir, model):
+    path = workdir / "model.json"
     save_model(model, path)
     again = load_model(path)
-    for name in ("We", "W1", "b1", "W2", "b2", "W3", "b3"):
-        assert np.array_equal(getattr(again.params, name), getattr(model.params, name))
+    for name in BLOCKS:
+        block, want = getattr(again.params, name), getattr(model.params, name)
+        assert block.shape == want.shape and block.tobytes() == want.tobytes(), name
     assert again.hp == model.hp
     assert again.vocab.items == model.vocab.items
     assert again.vocab.word_strings == model.vocab.word_strings

@@ -3,11 +3,12 @@ stops, and how much memory its snapshot costs at the paper's scale; the
 ``.history`` file that records each epoch; and the one-BLAS-thread scope that
 ``train`` runs its epochs in."""
 
-import math
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sdprel.training as training
 from sdprel.corpus import DEFAULT_LABELS
@@ -15,8 +16,14 @@ from sdprel.network import BLOCKS, Hyperparams, NumericError, init_network_param
 from sdprel.training import EpochStats, LabeledInstance, TrainConfig, train, write_history
 from helpers import nan_probability_forward
 from model_peak_rss import TRAIN_COPIES, parameter_bytes, peak_rise
+from synth import aligned_corpus
 
 HP = Hyperparams(d=3, w=3, n1=4, n2=3, K=3)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("history")
 
 
 def small_problem():
@@ -80,6 +87,7 @@ def test_runs_every_epoch_while_dev_improves():
     best, history = train(TrainConfig(max_epochs=4, patience=1), train_set, params, HP, dev)
     assert len(history) == 4
     assert_same_params(best, dev.seen[3])
+    assert best is not params  # the snapshot of the last epoch, not the live parameters
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
@@ -92,32 +100,48 @@ def test_training_at_the_paper_scale_holds_one_snapshot_beside_the_adagrad_sums(
     assert copies < TRAIN_COPIES, f"peak RSS rose {copies:.2f} parameter copies"
 
 
-def test_without_dev_evaluator_returns_the_final_parameters():
-    params, train_set = small_problem()
-    before = params.copy()
-    final, history = train(TrainConfig(max_epochs=3, patience=1), train_set, params, HP)
-    assert len(history) == 3
-    assert all(math.isnan(h.dev_f1) for h in history)
-    assert final is params
-    assert not np.array_equal(final.W1, before.W1)
-
-
 def test_empty_training_set_is_rejected():
     params, _ = small_problem()
     with pytest.raises(training.ConfigError, match="empty training set"):
-        train(TrainConfig(max_epochs=1), [], params, HP)
+        train(TrainConfig(max_epochs=1), [], params, HP, ScriptedDev([0.5]))
 
 
 def test_run_training_rejects_a_corpus_without_a_usable_instance():
     with pytest.raises(training.ConfigError, match="no usable training instances"):
-        training.run_training(TrainConfig(max_epochs=1), [], None, DEFAULT_LABELS)
+        training.run_training(
+            TrainConfig(max_epochs=1), [], aligned_corpus(2, seed=0), DEFAULT_LABELS
+        )
 
 
-def test_history_file_has_one_line_per_epoch_that_reads_back_equal(tmp_path):
+@pytest.mark.parametrize("dev", [[], None])
+def test_run_training_rejects_a_missing_or_empty_dev_split(dev):
+    with pytest.raises(training.ConfigError,
+                       match="^training needs a dev split with at least one instance$"):
+        training.run_training(TrainConfig(max_epochs=1), aligned_corpus(4, seed=0), dev,
+                              DEFAULT_LABELS)
+
+
+def trained_history():
     params, train_set = small_problem()
     dev = ScriptedDev([0.25, 0.5, 1 / 3])
-    _, history = train(TrainConfig(max_epochs=3, patience=3), train_set, params, HP, dev)
-    path = tmp_path / "model.json.history"
+    return train(TrainConfig(max_epochs=3, patience=3), train_set, params, HP, dev)[1]
+
+
+@st.composite
+def histories(draw):
+    """Epochs 1..n, each with a finite non-negative mean loss, subnormals to
+    1e308, and a dev F1 in [0, 1]."""
+    losses = draw(st.lists(st.floats(0, 1e308), min_size=1, max_size=6))
+    return [EpochStats(epoch, loss, draw(st.floats(0, 1)))
+            for epoch, loss in enumerate(losses, start=1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(history=histories())
+@example(history=trained_history())
+@example(history=[EpochStats(1, 5e-324, 0.0), EpochStats(2, 1e308, 1.0)])
+def test_history_file_has_one_line_per_epoch_that_reads_back_equal(workdir, history):
+    path = workdir / "model.json.history"
     write_history(history, path)
 
     text = path.read_text(encoding="utf-8")
@@ -125,19 +149,6 @@ def test_history_file_has_one_line_per_epoch_that_reads_back_equal(tmp_path):
     rows = [line.split("\t") for line in text.splitlines()]
     assert rows == [[str(h.epoch), repr(h.mean_loss), repr(h.dev_f1)] for h in history]
     assert [EpochStats(int(e), float(loss), float(f1)) for e, loss, f1 in rows] == history
-    assert len(rows) == 3
-
-
-def test_history_file_writes_nan_dev_f1_without_a_dev_set(tmp_path):
-    params, train_set = small_problem()
-    _, history = train(TrainConfig(max_epochs=2, patience=1), train_set, params, HP)
-    path = tmp_path / "model.json.history"
-    write_history(history, path)
-
-    rows = [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()]
-    assert [(int(e), float(loss), f1) for e, loss, f1 in rows] == [
-        (h.epoch, h.mean_loss, "nan") for h in history
-    ]
 
 
 @pytest.fixture
@@ -172,7 +183,7 @@ def test_the_blas_thread_count_is_restored_after_a_numeric_error(blas_threads, m
     params, _ = small_problem()
     inst = LabeledInstance(7, (2, 3, 4), None, 1)
     with pytest.raises(NumericError, match=r"epoch 1, instance 7: .*'gradients'"):
-        train(TrainConfig(max_epochs=1), [inst], params, HP)
+        train(TrainConfig(max_epochs=1), [inst], params, HP, ScriptedDev([0.5]))
     assert blas_threads() == 2
 
 

@@ -277,4 +277,4 @@ def test_train_names_epoch_and_instance_of_nonfinite_gradient(monkeypatch):
     inst = LabeledInstance(7, (2, 3, 4), None, GOLD)
     config = config_from_mapping({"max_epochs": "1"})
     with pytest.raises(NumericError, match=r"epoch 1, instance 7: .*'gradients'"):
-        train(config, [inst], params, hp)
+        train(config, [inst], params, hp, lambda current: 0.5)
