@@ -126,6 +126,9 @@ def _cmd_train(args) -> int:
     if config.embeddings_path is not None:  # without one, the 1.0 means nothing to match
         print(f"embedding coverage {info['embedding_coverage']:.4f}")
     print(f"best dev macro-F1 {best:.4f}")
+    if best == 0.0:
+        print("sdprel: warning: best dev macro-F1 is 0: the kept model gets no dev relation "
+              f"right; try a larger learning_rate than {config.learning_rate!r}", file=sys.stderr)
     print(f"model written to {args.out}, history to {history_path}")
     return 0
 

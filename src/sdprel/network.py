@@ -156,9 +156,11 @@ def init_network_params(hp: Hyperparams, We: np.ndarray, seed: int) -> NetworkPa
 
 @dataclass
 class ForwardCache:
-    """Intermediate values forward saves for the backward pass."""
+    """What forward saves for the rest of the example's training step."""
 
     indices: tuple[int, ...]
+    ids: np.ndarray        # t x w window ids (``_window_ids``)
+    cols: np.ndarray       # intp ``regularized_columns(indices)``, the trained columns
     X: np.ndarray          # d*w x t window matrix, C-contiguous
     Z: np.ndarray          # n1 x t convolution output
     argmax: np.ndarray     # n1, pooled column index per filter
@@ -177,14 +179,13 @@ def _window_ids(indices: Sequence[int], w: int) -> np.ndarray:
     return padded[np.arange(t)[:, None] + np.arange(w)]
 
 
-def window_concat(indices: Sequence[int], We: np.ndarray, w: int) -> np.ndarray:
-    """Stack each position's size-w embedding window into one column.
+def window_concat(ids: np.ndarray, We: np.ndarray) -> np.ndarray:
+    """Stack each position's embedding window, row j of the t x w window ids
+    (``_window_ids``), into column j.
 
-    Positions outside the sequence contribute the padding column.  The
-    result is C-contiguous: ``W1 @ X`` on a transposed view is several
+    The result is C-contiguous: ``W1 @ X`` on a transposed view is several
     times slower.
     """
-    ids = _window_ids(indices, w)
     # Row j of the (t, w*d) gather is window j, slot b at b*d .. (b+1)*d - 1.
     return np.ascontiguousarray(We.T[ids].reshape(len(ids), -1).T)
 
@@ -223,7 +224,8 @@ class ConvTable:
             raise ValueError(f"index {indices[missing][0]} is not in the projection table")
         w = len(self.slots)
         half = (w - 1) // 2
-        # PAD_INDEX is the smallest vocabulary id, so its row is row 0.
+        # PAD_INDEX is the smallest vocabulary id, so its row is row 0.  Rows read
+        # through a ``_window_ids`` matrix cost predict a tenth of its speed.
         padded = np.zeros(t + w - 1, dtype=np.intp)
         padded[half : half + t] = rows
         # Position j reads slot b's row of the id at window offset b, padded[j + b].
@@ -276,7 +278,9 @@ def forward(
 
     if table is None:
         indices = tuple(indices)
-        X = window_concat(indices, params.We, hp.w)
+        ids = _window_ids(indices, hp.w)
+        cols = np.array(regularized_columns(indices), dtype=np.intp)
+        X = window_concat(ids, params.We)
         Z = params.W1 @ X
         Z += params.b1[:, None]
         argmax = np.argmax(Z, axis=1)  # ties resolve to the lowest column
@@ -293,7 +297,7 @@ def forward(
     probs = softmax(scores)
     if table is not None:
         return probs, None
-    return probs, ForwardCache(indices, X, Z, argmax, pooled, hidden, combined, probs)
+    return probs, ForwardCache(indices, ids, cols, X, Z, argmax, pooled, hidden, combined, probs)
 
 
 def regularized_columns(indices: Sequence[int]) -> list[int]:
@@ -313,7 +317,7 @@ def loss(
     """Cross entropy of class ``gold`` plus squared-norm regularization of the weights.
 
     Biases are never regularized.  The embedding penalty covers only
-    touched_cols, the columns the example touched (``regularized_columns``),
+    touched_cols, the columns the example trains (``ForwardCache.cols``),
     which is the per-example objective the gradients of ``backward`` follow.
     """
     ce = -float(np.log(probs[gold]))
@@ -336,9 +340,8 @@ def backward(
     """Exact gradients of the per-example loss of class ``gold`` for every block.
 
     Each dense block of the result is the gradient of the parameter of the
-    same name.  Its ``We`` is d x len(cols), where column k is the gradient
-    of embedding column ``cols[k]`` and ``cols =
-    regularized_columns(cache.indices)``, the columns ``loss``
+    same name.  Its ``We`` is d x len(cache.cols), where column k is the
+    gradient of embedding column ``cache.cols[k]``, a column ``loss``
     penalises.  Max pooling routes gradient only to each filter's argmax
     column; every other embedding column has zero gradient and is left out.
 
@@ -375,10 +378,8 @@ def backward(
     dX_slots = (dZ.T @ params.W1).reshape(t * hp.w, hp.d)
 
     # Sum the slot gradients of each trained column with a one-hot matmul.
-    cols = regularized_columns(cache.indices)
-    slot_ids = _window_ids(cache.indices, hp.w).ravel()
-    dWe_cols = np.equal.outer(cols, slot_ids).astype(np.float64) @ dX_slots
-    dWe_cols += (2.0 * hp.lambda_we) * params.We[:, cols].T
+    dWe_cols = np.equal.outer(cache.cols, cache.ids.ravel()).astype(np.float64) @ dX_slots
+    dWe_cols += (2.0 * hp.lambda_we) * params.We[:, cache.cols].T
 
     grads = NetworkParams(dWe_cols.T, dW1, dpooled, dW2, dpre, dW3, dscores)
     if not math.isfinite(sum(float(np.vdot(block, block)) for block in grads.blocks())):
@@ -469,21 +470,19 @@ def grad_check(seed: int = 0) -> GradCheckReport:
 
     for cfg in _CHECK_CONFIGS:
         hp, params, indices, lexfeat, gold = _random_case(cfg, rng)
-        touched = regularized_columns(indices)
+        _, cache = forward(params, hp, indices, lexfeat)
+        grads = backward(cache, gold, params, hp)
 
         def objective() -> float:
             p, _ = forward(params, hp, indices, lexfeat)
-            return loss(p, gold, params, hp, touched)
-
-        _, cache = forward(params, hp, indices, lexfeat)
-        grads = backward(cache, gold, params, hp)
+            return loss(p, gold, params, hp, cache.cols)
 
         for name in DENSE_BLOCKS:
             analytic = getattr(grads, name)
             numeric = _fd_gradient(objective, getattr(params, name), step)
             errors[name] = max(errors[name], _relative_error(analytic, numeric))
 
-        for idx, analytic in zip(touched, grads.We.T):
+        for idx, analytic in zip(cache.cols, grads.We.T):
             numeric = _fd_gradient(objective, params.We[:, idx], step)
             errors["We"] = max(errors["We"], _relative_error(analytic, numeric))
 

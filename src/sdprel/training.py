@@ -42,7 +42,6 @@ from .network import (
     forward,
     init_network_params,
     loss,
-    regularized_columns,
 )
 
 log = logging.getLogger(__name__)
@@ -341,7 +340,7 @@ class AdagradState:
 def adagrad_update(
     params: NetworkParams,
     grads: NetworkParams,
-    cols: Sequence[int],
+    cols: np.ndarray,
     state: AdagradState,
     learning_rate: float,
     epsilon: float,
@@ -350,8 +349,8 @@ def adagrad_update(
 
     ``grads`` is what ``backward`` returns: each dense block is the
     gradient of the parameter of the same name, and column k of
-    ``grads.We`` is the gradient of embedding column ``cols[k]``, with
-    ``cols = regularized_columns(indices)``.  Dense blocks update in
+    ``grads.We`` is the gradient of embedding column ``cols[k]``: ``cols``
+    is the intp ``ForwardCache.cols`` of the step.  Dense blocks update in
     place through the state's scratch buffers; embedding columns update
     sparsely, in one fancy-indexed step over ``cols``.  ``grads`` is not
     modified.
@@ -367,7 +366,6 @@ def adagrad_update(
         np.multiply(g, learning_rate, out=step)
         step /= denom
         getattr(params, name)[...] -= step
-    cols = np.asarray(cols, dtype=np.intp)  # converted once for the three fancy indexes
     g = grads.We
     s = state.sums.We[:, cols]
     s += g * g
@@ -472,16 +470,15 @@ def train(
             total = 0.0
             for k in order:
                 inst = train_set[k]
-                cols = regularized_columns(inst.indices)
                 try:
                     probs, cache = forward(params, hp, inst.indices, inst.lexfeat)
-                    total += loss(probs, inst.gold, params, hp, cols)
+                    total += loss(probs, inst.gold, params, hp, cache.cols)
                     grads = backward(cache, inst.gold, params, hp)
                     if not math.isfinite(total):  # losses are >= 0: the first bad one shows
                         raise NumericError("non-finite values in layer 'loss'")
                 except NumericError as e:
                     raise NumericError(f"epoch {epoch}, instance {inst.id}: {e}") from None
-                adagrad_update(params, grads, cols, state, config.learning_rate, config.epsilon)
+                adagrad_update(params, grads, cache.cols, state, config.learning_rate, config.epsilon)
             mean_loss = total / len(train_set)
 
             dev_f1 = dev_evaluator(params)

@@ -3,9 +3,10 @@
 These are the straightforward versions of ``window_concat``, ``backward``
 and ``adagrad_update``: a double loop over window slots, an ``np.add.at``
 scatter for max-pool backward, a per-slot loop for the embedding gradient
-and a per-column AdaGrad step.  The vectorised functions in ``sdprel`` must
-give the same results (see ``test_training_step.py``); they are not used
-outside the tests.
+and a per-column AdaGrad step.  ``window_gather`` is the loop version of
+``network.window_concat``, which gathers the windows of a window-id matrix.
+The vectorised functions in ``sdprel`` must give the same results (see
+``test_training_step.py``); they are not used outside the tests.
 """
 
 from __future__ import annotations
@@ -41,6 +42,17 @@ def window_concat(indices: Sequence[int], We: np.ndarray, w: int) -> np.ndarray:
             pos = j - half + b
             idx = indices[pos] if 0 <= pos < t else PAD_INDEX
             X[b * d : (b + 1) * d, j] = We[:, idx]
+    return X
+
+
+def window_gather(ids: np.ndarray, We: np.ndarray) -> np.ndarray:
+    """Column j holds the embedding columns of row j of the t x w window ids, slot by slot."""
+    t, w = ids.shape
+    d = We.shape[0]
+    X = np.empty((d * w, t))
+    for j in range(t):
+        for b in range(w):
+            X[b * d : (b + 1) * d, j] = We[:, ids[j, b]]
     return X
 
 

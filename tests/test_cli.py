@@ -493,3 +493,32 @@ def test_a_file_that_is_not_utf8_exits_1_naming_it_and_the_line(
         code = main(["score", *(str(x) for kv in argv.items() for x in kv)])
     assert code == 1
     assert capsys.readouterr().err == f"sdprel: {bad}: line 2: not valid UTF-8\n"
+
+
+@pytest.mark.parametrize("rate, useless", [("0.01", True), ("0.1", False)])
+def test_train_warns_on_stderr_when_the_kept_model_gets_no_dev_relation_right(
+    tmp_path, capsys, rate, useless
+):
+    """At the default learning rate every epoch of this corpus reads dev
+    macro-F1 0 (all Other); at 0.1 the best epoch reads about 0.9."""
+    files = {}
+    for stem, (n, start) in {"train": (300, 1), "dev": (80, 1001)}.items():
+        raws, parses = directional_corpus(n, seed=start, start_id=start)
+        files[stem + "-sem"], files[stem + "-conll"] = write_corpus(tmp_path, stem, raws, parses)
+    labels = tmp_path / "labels.txt"
+    labels.write_text("\n".join(SYNTH_LABELS.bases) + "\n", encoding="utf-8")
+    files["config"] = tmp_path / "train.cfg"
+    files["config"].write_text(
+        "d = 10\nn1 = 20\nn2 = 12\nmax_epochs = 8\npatience = 8\n"
+        f"labels_path = {labels}\nlearning_rate = {rate}\n",
+        encoding="utf-8",
+    )
+    model = tmp_path / "model.json"
+    assert train(files, model) == 0
+    out, err = capsys.readouterr()
+    best = float(out.split("best dev macro-F1 ")[1].split()[0])
+    assert best == 0.0 if useless else best > 0.8
+    assert model.is_file() and (tmp_path / "model.json.history").is_file()
+    warning = ("sdprel: warning: best dev macro-F1 is 0: the kept model gets no dev relation "
+               f"right; try a larger learning_rate than {rate}\n")
+    assert err == (warning if useless else "")

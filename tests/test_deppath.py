@@ -261,7 +261,43 @@ def path_lines(draw):
     return draw(st.integers(min_value=0)), NodeSequence(tuple(texts), mode)
 
 
+#: Node texts a path file may hold: mostly valid ones, and short arbitrary
+#: texts, which may be empty or hold whitespace.
+ANY_NODE_TEXTS = st.one_of(NODE_TEXTS, NODE_TEXTS, st.text(max_size=3))
+
+
+@st.composite
+def raw_path_lines(draw):
+    """A mode and a line that parse_path_line may accept in it: an id of ASCII
+    digits with leading zeros or short arbitrary text, node texts of
+    ``ANY_NODE_TEXTS``, any arrow or node in an arrow's place, and trailing
+    newlines."""
+    mode = draw(st.sampled_from(list(PathMode)))
+    texts = [draw(ANY_NODE_TEXTS)]
+    for _ in range(draw(st.integers(0, 5))):
+        texts.append(draw(st.one_of(
+            st.sampled_from((ARROW_TO_HEAD, ARROW_TO_DEPENDENT)), ANY_NODE_TEXTS
+        )))
+        if mode is PathMode.LABELED:
+            texts.append(draw(ANY_NODE_TEXTS))
+        texts.append(draw(ANY_NODE_TEXTS))
+    inst_id = draw(st.one_of(st.from_regex(r"[0-9]{1,45}", fullmatch=True), st.text(max_size=3)))
+    return mode, f"{inst_id}\t{' '.join(texts)}" + draw(st.sampled_from(("", "\n", "\n\n")))
+
+
 class TestPathLines:
+    @given(raw_path_lines())
+    @example((PathMode.LABELED, "007\té → nsubj 中\n"))
+    @example((PathMode.DIRECTIONS_ONLY, "0\ta ← b\n\n"))
+    def test_an_accepted_line_reads_back_equal_after_writing(self, case):
+        mode, line = case
+        try:
+            accepted = parse_path_line(line, mode)
+        except PathError:
+            return
+        assert accepted[0] == int(line.split("\t")[0])
+        assert parse_path_line(format_path_line(*accepted), mode) == accepted
+
     @given(path_lines())
     @example((10**40, NodeSequence(("é", ARROW_TO_HEAD, "→", "中"), PathMode.LABELED)))
     def test_round_trip(self, line):

@@ -399,7 +399,43 @@ def prediction(inst_id, label):
     return Prediction(inst_id, None, None, label, 1.0)
 
 
+#: Blanks that may stand around a label; a tab would split the line again.
+LABEL_BLANKS = st.text(st.sampled_from(" \x0b\x0c\u00a0\u3000"), max_size=2)
+
+
+@st.composite
+def accepted_prediction_files(draw):
+    """The text of a prediction file that read_predictions accepts, and its rows:
+    distinct ids, some spelled with leading zeros, blanks around labels, blank
+    lines, and each line ended by ``\\n`` or ``\\r\\n``, the last one perhaps
+    by nothing."""
+    lines, rows = [], []
+    for inst_id in draw(st.lists(st.integers(0, 10**6), unique=True, max_size=8)):
+        zeros = "0" * draw(st.integers(0, 2))
+        label = draw(st.sampled_from(L3.all_directed()))
+        lines.append(f"{zeros}{inst_id}\t{draw(LABEL_BLANKS)}{label}{draw(LABEL_BLANKS)}")
+        rows.append((inst_id, label))
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(("", " ", "\t", " \t\x0c"))))
+    ends = [draw(st.sampled_from(("\n", "\r\n"))) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends)), rows
+
+
 class TestPredictionFiles:
+    @given(accepted_prediction_files())
+    @example(("007\t Other \r\n\r\n1\tCause-Effect(e1,e2)", [(7, OTHER_LABEL), (1, CE12)]))
+    def test_an_accepted_file_reads_back_equal_after_writing(self, workdir, case):
+        text, want = case
+        accepted = workdir / "accepted.tsv"
+        accepted.write_bytes(text.encode("utf-8"))
+        rows = read_predictions(accepted, L3)
+        assert rows == want
+        rewritten = workdir / "rewritten.tsv"
+        write_predictions([prediction(i, label) for i, label in rows], rewritten)
+        assert read_predictions(rewritten, L3) == sorted(rows)
+
     def test_other_line_format_and_ordering(self, tmp_path):
         path = tmp_path / "pred.tsv"
         write_predictions([prediction(43, CE21), prediction(42, OTHER_LABEL)], path)

@@ -50,18 +50,18 @@ class TestWindowConcat:
     def test_t1_w3_is_fully_padded(self):
         We = np.arange(12, dtype=float).reshape(2, 6)
         We[:, PAD_INDEX] = 0.0
-        X = window_concat([3], We, 3)
+        X = window_concat(network._window_ids([3], 3), We)
         assert X.shape == (6, 1)
         assert np.array_equal(X[:, 0], [0, 0, We[0, 3], We[1, 3], 0, 0])
 
     def test_w1_is_identity_window(self):
         We = np.random.default_rng(1).normal(size=(3, 7))
-        X = window_concat([2, 5, 1], We, 1)
+        X = window_concat(network._window_ids([2, 5, 1], 1), We)
         assert np.array_equal(X, We[:, [2, 5, 1]])
 
     def test_middle_column_concatenates_neighbors(self):
         We = np.random.default_rng(2).normal(size=(2, 7))
-        X = window_concat([4, 5, 6], We, 3)
+        X = window_concat(network._window_ids([4, 5, 6], 3), We)
         assert np.array_equal(X[:, 1], np.concatenate([We[:, 4], We[:, 5], We[:, 6]]))
 
 

@@ -72,7 +72,7 @@ CASES = range(60)
 @pytest.mark.parametrize("seed", CASES)
 def test_window_concat_is_bit_exact_and_contiguous(seed):
     hp, params, indices, _, _ = random_case(np.random.default_rng(seed))
-    X = window_concat(indices, params.We, hp.w)
+    X = window_concat(network._window_ids(indices, hp.w), params.We)
     assert X.flags.c_contiguous
     assert X.shape == (hp.d_w, len(indices))
     assert X.tobytes() == ref.window_concat(indices, params.We, hp.w).tobytes()
@@ -111,7 +111,7 @@ def test_adagrad_update_matches_per_column_reference(seed):
     state = AdagradState(NetworkParams(*(rng.uniform(0.0, 2.0, size=m.shape) for m in params.blocks())))
 
     got_params, got_state = params.copy(), copy.deepcopy(state)
-    cols = regularized_columns(indices)
+    cols = cache.cols
     adagrad_update(got_params, grads, cols, got_state, 0.05, 1e-6)
     want_params, want_state = params.copy(), copy.deepcopy(state)
     ref.adagrad_update(want_params, grads, cols, want_state, 0.05, 1e-6)
@@ -150,20 +150,21 @@ def _train_small():
     return model, history, dev
 
 
+def counted(calls, name, fn):
+    """fn, adding one to calls[name] on every call."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_golden_trajectory_matches_loop_reference(monkeypatch):
     model, history, dev = _train_small()
     calls = {"window_concat": 0, "backward": 0, "adagrad_update": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(network, "window_concat", counted("window_concat", ref.window_concat))
-    monkeypatch.setattr(training, "backward", counted("backward", ref.backward))
+    monkeypatch.setattr(network, "window_concat", counted(calls, "window_concat", ref.window_gather))
+    monkeypatch.setattr(training, "backward", counted(calls, "backward", ref.backward))
     monkeypatch.setattr(
-        training, "adagrad_update", counted("adagrad_update", ref.adagrad_update)
+        training, "adagrad_update", counted(calls, "adagrad_update", ref.adagrad_update)
     )
     reference, ref_history, _ = _train_small()
     monkeypatch.undo()
@@ -176,6 +177,29 @@ def test_golden_trajectory_matches_loop_reference(monkeypatch):
     ours, _ = predict_corpus(model, dev)
     theirs, _ = predict_corpus(reference, dev)
     assert [p.final for p in ours] == [p.final for p in theirs]
+
+
+def test_each_sgd_step_derives_its_window_ids_and_trained_columns_once(monkeypatch):
+    """forward derives both into its cache; loss, backward and AdaGrad read them there."""
+    calls = {"_window_ids": 0, "regularized_columns": 0}
+    for name in calls:
+        monkeypatch.setattr(network, name, counted(calls, name, getattr(network, name)))
+    at_backward = []
+    original_backward = training.backward
+
+    def recording_backward(*args):
+        at_backward.append(dict(calls))
+        return original_backward(*args)
+
+    monkeypatch.setattr(training, "backward", recording_backward)
+    _, history, _ = _train_small()
+
+    steps = len(at_backward)
+    assert len(history) == 2 and steps > 0
+    # Each step's forward made one call of each before its backward, and
+    # nothing else in training (dev evaluation included) made any.
+    assert at_backward == [dict.fromkeys(calls, k) for k in range(1, steps + 1)]
+    assert calls == dict.fromkeys(calls, steps)
 
 
 def test_two_trainings_in_one_process_save_identical_bytes(tmp_path):
