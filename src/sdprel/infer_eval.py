@@ -3,7 +3,7 @@
 Network output k decodes through ``model.class_labels``.  Under SIGHTED_NS
 blind test instances are classified by scoring both path directions: the
 label is Other only when both directions predict Other, otherwise the
-highest-confidence non-Other prediction wins and fixes the direction.
+most probable non-Other prediction wins and fixes the direction.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ class Prediction:
     fwd_probs: np.ndarray | None
     rev_probs: np.ndarray | None
     final: DirectedLabel
-    confidence: float
 
     @property
     def failed(self) -> bool:
@@ -37,9 +36,7 @@ class Prediction:
         return self.fwd_probs is None
 
 
-def combine(
-    fwd_probs: np.ndarray, rev_probs: np.ndarray, labels: LabelSet
-) -> tuple[DirectedLabel, float]:
+def combine(fwd_probs: np.ndarray, rev_probs: np.ndarray, labels: LabelSet) -> DirectedLabel:
     """Merge the two direction-wise base-class distributions into one label.
 
     Other wins only when it is the argmax of both directions; otherwise the
@@ -55,12 +52,12 @@ def combine(
         )
     other = k - 1
     if fwd_probs.argmax() == other and rev_probs.argmax() == other:
-        return classes[other], float(max(fwd_probs[other], rev_probs[other]))
+        return classes[other]
     best_fwd = int(fwd_probs[:other].argmax())
     best_rev = int(rev_probs[:other].argmax())
     if fwd_probs[best_fwd] >= rev_probs[best_rev]:
-        return classes[best_fwd], float(fwd_probs[best_fwd])
-    return class_labels(Regime.SIGHTED_NS, labels, True)[best_rev], float(rev_probs[best_rev])
+        return classes[best_fwd]
+    return class_labels(Regime.SIGHTED_NS, labels, True)[best_rev]
 
 
 def lexfeat_for(
@@ -109,8 +106,7 @@ def predict_corpus(
 
     ``load_model`` and ``run_training`` guarantee that the model's class
     count fits its regime.  Instances whose path cannot be extracted are
-    predicted Other with confidence 0; the count of such failures is
-    returned alongside.
+    predicted Other; the count of such failures is returned alongside.
 
     The instances are classified in chunks of PREDICT_CHUNK.  A first pass
     extracts each instance's path once and keeps only its index arrays; a
@@ -140,19 +136,18 @@ def _predict_chunk(
     out = []
     for inst, path in zip(chunk, paths):
         if path is None:
-            out.append(Prediction(inst.raw.id, None, None, OTHER_LABEL, 0.0))
+            out.append(Prediction(inst.raw.id, None, None, OTHER_LABEL))
             continue
         fwd, rev, from_e2 = path
         lex = lexfeat_for(inst.raw.id, model.hp.f, lexfeats)
         fwd_probs, _ = forward(model.params, model.hp, fwd, lex, table)
         if rev is None:
             rev_probs = None
-            k = int(np.argmax(fwd_probs))
-            final, conf = class_labels(model.regime, model.labels, from_e2)[k], float(fwd_probs[k])
+            final = class_labels(model.regime, model.labels, from_e2)[int(np.argmax(fwd_probs))]
         else:
             rev_probs, _ = forward(model.params, model.hp, rev, lex, table)
-            final, conf = combine(fwd_probs, rev_probs, model.labels)
-        out.append(Prediction(inst.raw.id, fwd_probs, rev_probs, final, conf))
+            final = combine(fwd_probs, rev_probs, model.labels)
+        out.append(Prediction(inst.raw.id, fwd_probs, rev_probs, final))
     return out
 
 

@@ -366,14 +366,13 @@ def backward(
     dW2 += np.outer(dpre, cache.pooled)
     dpooled = params.W2.T @ dpre
 
-    # dZ has one nonzero per row, dpooled at the pooled column, so
-    # dZ @ X.T scales each filter's pooled window and dX = W1.T @ dZ.
-    pooled_windows = cache.X.T[cache.argmax]
-    pooled_windows *= dpooled[:, None]
-    dW1 = np.multiply(params.W1, 2.0 * hp.lambda_w1)
-    dW1 += pooled_windows
+    # dZ has one nonzero per row, dpooled at the pooled column, so each
+    # entry of dZ @ X.T is one exact product plus exact zeros: the scaled
+    # pooled window, bit for bit.  dX = W1.T @ dZ.
     dZ = np.zeros((hp.n1, t))
     dZ[np.arange(hp.n1), cache.argmax] = dpooled
+    dW1 = np.multiply(params.W1, 2.0 * hp.lambda_w1)
+    dW1 += dZ @ cache.X.T
     # Row j*w + b is the gradient of window slot b at position j.
     dX_slots = (dZ.T @ params.W1).reshape(t * hp.w, hp.d)
 

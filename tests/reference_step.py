@@ -5,6 +5,9 @@ and ``adagrad_update``: a double loop over window slots, an ``np.add.at``
 scatter for max-pool backward, a per-slot loop for the embedding gradient
 and a per-column AdaGrad step.  ``window_gather`` is the loop version of
 ``network.window_concat``, which gathers the windows of a window-id matrix.
+``pooled_window_dW1`` is the earlier form of ``network.backward``'s ``W1``
+gradient, which gathered and scaled each filter's pooled window instead of
+forming ``dZ @ X.T``.
 The vectorised functions in ``sdprel`` must give the same results (see
 ``test_training_step.py``); they are not used outside the tests.
 """
@@ -54,6 +57,19 @@ def window_gather(ids: np.ndarray, We: np.ndarray) -> np.ndarray:
         for b in range(w):
             X[b * d : (b + 1) * d, j] = We[:, ids[j, b]]
     return X
+
+
+def pooled_window_dW1(
+    cache: ForwardCache, dpooled: np.ndarray, params: NetworkParams, hp: Hyperparams
+) -> np.ndarray:
+    """The ``W1`` gradient from each filter's pooled window, scaled by its
+    pooled gradient: row i is ``dpooled[i] * X[:, argmax[i]]`` plus the
+    regularizer's share."""
+    pooled_windows = cache.X.T[cache.argmax]
+    pooled_windows *= dpooled[:, None]
+    dW1 = np.multiply(params.W1, 2.0 * hp.lambda_w1)
+    dW1 += pooled_windows
+    return dW1
 
 
 def backward(

@@ -41,9 +41,16 @@ def train(files, out, *extra):
     ])
 
 
+def score_lines(out):
+    """The ``name<TAB>value`` lines that ``score`` prints, by name."""
+    return dict(line.split("\t") for line in out.splitlines() if "\t" in line)
+
+
 def test_train_predict_score_extract_and_pool_training(files, tmp_path, capsys):
+    """The model predicts relations as well as Other, so a score that
+    mishandled them would show (best dev macro-F1 about 0.38)."""
     model = tmp_path / "model.json"
-    assert train(files, model) == 0
+    assert train(files, model, "--set", "learning_rate=0.1", "--set", "max_epochs=8") == 0
     assert model.is_file() and (tmp_path / "model.json.history").is_file()
 
     pred = tmp_path / "pred.txt"
@@ -51,15 +58,16 @@ def test_train_predict_score_extract_and_pool_training(files, tmp_path, capsys):
         "predict", "--model", str(model), "--sem", str(files["test-sem"]),
         "--conll", str(files["test-conll"]), "--out", str(pred),
     ]) == 0
-    ids = [int(line.split("\t")[0]) for line in pred.read_text().splitlines()]
-    assert ids == list(range(2001, 2001 + SPLITS["test"][0]))
+    rows = [line.split("\t") for line in pred.read_text().splitlines()]
+    assert [int(inst_id) for inst_id, _ in rows] == list(range(2001, 2001 + SPLITS["test"][0]))
+    assert {label for _, label in rows} - {"Other"}
 
     capsys.readouterr()
     assert main([
         "score", "--gold", str(files["test-sem"]), "--pred", str(pred),
         "--labels", str(files["labels"]),
     ]) == 0
-    assert "macro_f1\t" in capsys.readouterr().out
+    assert float(score_lines(capsys.readouterr().out)["macro_f1"]) > 0
 
     pool = tmp_path / "pool.paths"
     assert main([
@@ -73,6 +81,27 @@ def test_train_predict_score_extract_and_pool_training(files, tmp_path, capsys):
         "--set", f"pool_path={pool}",
     ) == 0
     assert f"({SPLITS['train'][0]} negatives)" in capsys.readouterr().out
+
+
+def test_score_counts_a_right_relation_in_the_wrong_direction_against_both_counts(
+    files, tmp_path, capsys
+):
+    gold = tmp_path / "gold.txt"
+    gold.write_text("1\tRelA(e1,e2)\n2\tRelA(e2,e1)\n3\tRelA(e1,e2)\n"
+                    "4\tRelB(e2,e1)\n5\tOther\n6\tOther\n", encoding="utf-8")
+    pred = tmp_path / "pred.txt"
+    # Id 2 has the right base in the wrong direction; id 5 predicts a relation for Other.
+    pred.write_text("1\tRelA(e1,e2)\n2\tRelA(e1,e2)\n3\tRelA(e1,e2)\n"
+                    "4\tRelB(e2,e1)\n5\tRelB(e1,e2)\n6\tOther\n", encoding="utf-8")
+    assert main(["score", "--gold", str(gold), "--pred", str(pred),
+                 "--labels", str(files["labels"])]) == 0
+    got = {name: float(value) for name, value in score_lines(capsys.readouterr().out).items()}
+    # RelA: 2 of 3 predicted right, 2 of 3 gold found; RelB: 1 of 2 and 1 of 1.
+    assert (got["precision_RelA"], got["recall_RelA"], got["f1_RelA"]) == (2 / 3, 2 / 3, 2 / 3)
+    assert (got["precision_RelB"], got["recall_RelB"], got["f1_RelB"]) == (0.5, 1.0, 2 / 3)
+    assert got["macro_f1"] == 2 / 3
+    assert got["accuracy"] == 4 / 6
+    assert got["n"] == 6
 
 
 def test_gradcheck_exits_0(capsys):

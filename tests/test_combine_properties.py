@@ -23,10 +23,9 @@ def distributions():
 
 @given(distributions(), distributions())
 def test_only_other_is_directionless(fwd, rev):
-    label, confidence = combine(fwd, rev, LABELS)
+    label = combine(fwd, rev, LABELS)
     assert (label.direction is Direction.NONE) == label.is_other
     assert label.is_other or label.base in LABELS.bases
-    assert confidence in (*fwd, *rev)
 
 
 @given(distributions(), distributions())
@@ -34,7 +33,6 @@ def test_swapping_the_directions_flips_only_the_direction(fwd, rev):
     other = len(LABELS.bases)
     # An exact tie between the best relations breaks toward forward by design.
     assume(fwd[:other].max() != rev[:other].max())
-    label, confidence = combine(fwd, rev, LABELS)
-    swapped, swapped_confidence = combine(rev, fwd, LABELS)
+    label = combine(fwd, rev, LABELS)
+    swapped = combine(rev, fwd, LABELS)
     assert swapped == label.reversed()
-    assert swapped_confidence == confidence

@@ -48,28 +48,25 @@ class TestCombine:
     def test_other_only_when_both_argmax_other(self):
         fwd = np.array([0.05, 0.03, 0.02, 0.9])
         rev = np.array([0.1, 0.05, 0.05, 0.8])
-        label, conf = combine(fwd, rev, L3)
+        label = combine(fwd, rev, L3)
         assert label == OTHER_LABEL
-        assert conf == 0.9
 
     def test_single_non_other_direction_wins(self):
         fwd = np.array([0.7, 0.1, 0.1, 0.1])
         rev = np.array([0.04, 0.03, 0.03, 0.9])
-        label, conf = combine(fwd, rev, L3)
+        label = combine(fwd, rev, L3)
         assert label == CE12
-        assert conf == 0.7
 
     def test_higher_confidence_direction_wins(self):
         fwd = np.array([0.6, 0.2, 0.1, 0.1])
         rev = np.array([0.1, 0.8, 0.05, 0.05])
-        label, conf = combine(fwd, rev, L3)
+        label = combine(fwd, rev, L3)
         assert label == CW21
-        assert conf == 0.8
 
     def test_exact_tie_breaks_toward_forward(self):
         fwd = np.array([0.5, 0.2, 0.2, 0.1])
         rev = np.array([0.5, 0.2, 0.2, 0.1])
-        label, _ = combine(fwd, rev, L3)
+        label = combine(fwd, rev, L3)
         assert label == CE12
 
     def test_length_mismatch_rejected(self):
@@ -81,9 +78,8 @@ class TestCombine:
         for _ in range(200):
             fwd = rng.dirichlet(np.ones(4))
             rev = rng.dirichlet(np.ones(4))
-            label, conf = combine(fwd, rev, L3)
+            label = combine(fwd, rev, L3)
             assert label.is_other == (label.direction is Direction.NONE)
-            assert 0.0 < conf <= 1.0
 
 
 class TestMacroF1:
@@ -181,9 +177,7 @@ class TestPredictCorpus:
         assert failed == 0
         for p in preds:
             assert p.rev_probs is not None
-            expect_label, expect_conf = combine(p.fwd_probs, p.rev_probs, SYNTH_LABELS)
-            assert p.final == expect_label
-            assert p.confidence == expect_conf
+            assert p.final == combine(p.fwd_probs, p.rev_probs, SYNTH_LABELS)
 
     def test_blind_regime_takes_directed_argmax(self):
         instances = aligned_corpus(10, seed=7)
@@ -237,7 +231,6 @@ class TestPredictCorpus:
         for p in preds:
             assert p.failed
             assert p.final == OTHER_LABEL
-            assert p.confidence == 0.0
 
     def test_swapping_nominals_flips_direction_only(self):
         instances = aligned_corpus(30, seed=11)
@@ -248,7 +241,6 @@ class TestPredictCorpus:
         original, _ = predict_corpus(model, instances)
         mirrored, _ = predict_corpus(model, swapped)
         for a, b in zip(original, mirrored):
-            assert a.confidence == b.confidence
             assert a.final.base == b.final.base
             if not a.final.is_other:
                 assert b.final.direction is not a.final.direction
@@ -266,7 +258,6 @@ def test_sighted_swapped_nominals_give_the_same_probabilities_and_the_reversed_l
     for a, b in zip(original, mirrored):
         assert np.array_equal(a.fwd_probs, b.fwd_probs)
         assert b.final == a.final.reversed()
-        assert b.confidence == a.confidence
 
 
 def matmul_reference(model, instances, fail_ids):
@@ -274,23 +265,23 @@ def matmul_reference(model, instances, fail_ids):
     preds = []
     for inst in instances:
         if inst.raw.id in fail_ids:
-            preds.append(Prediction(inst.raw.id, None, None, OTHER_LABEL, 0.0))
+            preds.append(Prediction(inst.raw.id, None, None, OTHER_LABEL))
             continue
         paths = reference_table.indexed_paths(model, inst)
         fwd, _ = forward(model.params, model.hp, paths[0])
         k = int(np.argmax(fwd))
         if model.regime is Regime.BLIND:
             final = SYNTH_LABELS.all_directed()[k]
-            preds.append(Prediction(inst.raw.id, fwd, None, final, fwd[k]))
+            preds.append(Prediction(inst.raw.id, fwd, None, final))
         elif model.regime is Regime.SIGHTED:
             base = [*SYNTH_LABELS.bases, OTHER_LABEL.base][k]
             gold = inst.raw.label
             direction = Direction.E1_TO_E2 if gold.is_other else gold.direction
             final = OTHER_LABEL if base == OTHER_LABEL.base else DirectedLabel(base, direction)
-            preds.append(Prediction(inst.raw.id, fwd, None, final, fwd[k]))
+            preds.append(Prediction(inst.raw.id, fwd, None, final))
         else:
             rev, _ = forward(model.params, model.hp, paths[1])
-            preds.append(Prediction(inst.raw.id, fwd, rev, *combine(fwd, rev, SYNTH_LABELS)))
+            preds.append(Prediction(inst.raw.id, fwd, rev, combine(fwd, rev, SYNTH_LABELS)))
     return preds
 
 
@@ -387,7 +378,6 @@ def assert_matches_reference(got, want, instances):
     for g, w in zip(got, want):
         assert close_or_both_none(g.fwd_probs, w.fwd_probs)
         assert close_or_both_none(g.rev_probs, w.rev_probs)
-        assert abs(g.confidence - w.confidence) <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -396,7 +386,7 @@ def workdir(tmp_path_factory):
 
 
 def prediction(inst_id, label):
-    return Prediction(inst_id, None, None, label, 1.0)
+    return Prediction(inst_id, None, None, label)
 
 
 #: Blanks that may stand around a label; a tab would split the line again.

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import sdprel.training as training
 from sdprel.corpus import DEFAULT_LABELS
-from sdprel.network import BLOCKS, Hyperparams, NumericError, init_network_params
+from sdprel.network import BLOCKS, Hyperparams, NumericError, forward, init_network_params
 from sdprel.training import EpochStats, LabeledInstance, TrainConfig, train, write_history
 from helpers import nan_probability_forward
 from model_peak_rss import TRAIN_COPIES, parameter_bytes, peak_rise
@@ -98,6 +98,24 @@ def test_training_at_the_paper_scale_holds_one_snapshot_beside_the_adagrad_sums(
     two snapshots alive at once would read about 3.2."""
     copies = peak_rise("train", 25_000) / parameter_bytes(25_000)
     assert copies < TRAIN_COPIES, f"peak RSS rose {copies:.2f} parameter copies"
+
+
+def test_each_epoch_visits_the_examples_in_a_new_order(monkeypatch):
+    """``shuffle_order`` seeds each epoch apart, so epochs 1 and 2 visit the
+    same examples in different orders."""
+    params, _ = small_problem()
+    train_set = [LabeledInstance(i, (i,), None, i % HP.K) for i in range(1, 8)]
+    visits = []
+
+    def recording_forward(params, hp, indices, lexfeat):
+        visits.append(indices[0])
+        return forward(params, hp, indices, lexfeat)
+
+    monkeypatch.setattr(training, "forward", recording_forward)
+    train(TrainConfig(max_epochs=2), train_set, params, HP, ScriptedDev([0.1, 0.2]))
+    first, second = visits[: len(train_set)], visits[len(train_set) :]
+    assert sorted(first) == sorted(second) == [inst.id for inst in train_set]
+    assert first != second
 
 
 def test_empty_training_set_is_rejected():

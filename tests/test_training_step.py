@@ -89,6 +89,31 @@ def test_backward_matches_loop_reference(seed):
     assert got.We.shape == (hp.d, len(regularized_columns(indices)))
 
 
+#: Fixed paths by window size: one id repeated at w=1, so every column of Z
+#: ties, and one-node paths.
+FIXED_PATHS = {"tied": (1, (3, 3, 3)), "one node, w=1": (1, (7,)), "one node, w=3": (3, (5,))}
+
+
+def fixed_case(w, indices):
+    hp = Hyperparams(d=3, w=w, n1=4, n2=3, K=3,
+                     lambda_we=1e-3, lambda_w1=2e-3, lambda_w2=3e-3, lambda_w3=4e-3)
+    We = np.random.default_rng(w).normal(size=(hp.d, VOCAB_SIZE))
+    return hp, network.init_network_params(hp, We, 5), indices, None, 1
+
+
+@pytest.mark.parametrize("case", [*CASES, *FIXED_PATHS])
+def test_backward_W1_gradient_equals_the_pooled_window_form_bit_for_bit(case):
+    if case in FIXED_PATHS:
+        hp, params, indices, lexfeat, gold = fixed_case(*FIXED_PATHS[case])
+    else:
+        hp, params, indices, lexfeat, gold = random_case(np.random.default_rng(case))
+    _, cache = forward(params, hp, indices, lexfeat)
+    if case == "tied":
+        assert (cache.Z == cache.Z[:, :1]).all()
+    got = backward(cache, gold, params, hp)
+    assert got.W1.tobytes() == ref.pooled_window_dW1(cache, got.b1, params, hp).tobytes()
+
+
 def test_all_pad_path_trains_no_embedding_column():
     hp = Hyperparams(d=2, w=1, n1=3, n2=2, K=2)
     params = NetworkParams(
